@@ -10,6 +10,7 @@ import sys
 import time
 
 import numpy as np
+import scipy
 from scipy.cluster.hierarchy import leaves_list, linkage
 
 from . import __version__
@@ -236,7 +237,7 @@ def cmd_run(args) -> int:
             "kmh": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
+            "scipy": scipy.__version__,
         },
         "outputs": {k: os.path.abspath(v) for k, v in paths.items()},
         "seed_substreams": ["scatter", "krzanowski", "consensus", "report_subsample"],

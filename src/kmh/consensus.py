@@ -50,12 +50,20 @@ def _core_indices(partitions) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _psi_over(partitions, indices: np.ndarray) -> np.ndarray:
-    acc = np.zeros((indices.size, indices.size), dtype=np.int32)
-    for part in partitions:
-        sub = part.labels[indices]
-        acc += sub[:, None] == sub[None, :]
-    return acc / float(len(partitions))
+def co_association(partitions, indices: np.ndarray) -> np.ndarray:
+    """Share of `partitions` placing each pair of `indices` in one cluster.
+
+    Evidence accumulation (Fred & Jain 2005): one-hot Y with a column per
+    label value 0..K of each partition, so co-membership counts are Y Y^T.
+    Scatter label 0 gets its own column, like any other label. The float32
+    product is exact: every entry is a sum of at most N ones.
+    """
+    labels = np.stack([part.labels[indices] for part in partitions], axis=1)
+    widths = [part.K + 1 for part in partitions]
+    offsets = np.cumsum([0] + widths[:-1])
+    y = np.zeros((indices.size, sum(widths)), dtype=np.float32)
+    np.put_along_axis(y, labels + offsets, 1.0, axis=1)
+    return (y @ y.T).astype(np.float64) / float(len(partitions))
 
 
 def build_similarity(partitions) -> SimilarityMatrix:
@@ -64,7 +72,7 @@ def build_similarity(partitions) -> SimilarityMatrix:
     if not partitions:
         raise ValueError("need at least one partition")
     indices = _core_indices(partitions)
-    return SimilarityMatrix(_psi_over(partitions, indices), len(partitions), indices)
+    return SimilarityMatrix(co_association(partitions, indices), len(partitions), indices)
 
 
 def _count_groups(psi: np.ndarray, threshold: float, mean_cut: float, cv_cut: float) -> int:
@@ -128,7 +136,7 @@ def estimate_kstar(
     estimates = []
     for _ in range(B):
         chosen = np.sort(rng.choice(core, size=subsample, replace=False))
-        psi = _psi_over(partitions, chosen)
+        psi = co_association(partitions, chosen)
         estimates.append(_count_groups(psi, threshold, mean_cut, cv_cut))
 
     ordered = sorted(estimates)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,19 @@ class DataMatrix:
     @property
     def p(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def row_ids(self) -> np.ndarray:
+        """Distinct-row id of each observation, 0..n_distinct-1: rows equal
+        entry by entry (-0.0 equal to 0.0) share an id. Computed once per
+        dataset; K-means seeding and its K bound read it on every run."""
+        ids = np.unique(self.values, axis=0, return_inverse=True)[1].ravel()
+        ids.setflags(write=False)
+        return ids
+
+    @cached_property
+    def n_distinct(self) -> int:
+        return int(self.row_ids.max()) + 1
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ candidate over-segmentation sizes."""
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +43,14 @@ class KrzanowskiTrace:
     ratios: np.ndarray
 
 
-def _count_distinct_rows(x: np.ndarray) -> int:
-    return np.unique(x, axis=0).shape[0]
-
-
-def _init_macqueen(x: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    """K distinct observations sampled uniformly as seeds."""
-    n = x.shape[0]
-    order = rng.permutation(n)
-    chosen: list[int] = []
-    for idx in order:
-        row = x[idx]
-        if any(np.array_equal(row, x[c]) for c in chosen):
-            continue
-        chosen.append(int(idx))
-        if len(chosen) == K:
-            break
-    return x[chosen].copy()
+def _init_macqueen(
+    x: np.ndarray, row_ids: np.ndarray, K: int, rng: np.random.Generator
+) -> np.ndarray:
+    """K distinct observations sampled uniformly as seeds: along a random
+    permutation, the first occurrence of each of the first K distinct rows."""
+    order = rng.permutation(row_ids.size)
+    first = np.unique(row_ids[order], return_index=True)[1]
+    return x[order[np.sort(first)[:K]]]
 
 
 def _init_maximin(x: np.ndarray, K: int) -> np.ndarray:
@@ -96,10 +88,10 @@ def lloyd(
     farthest from its currently assigned center, keeping K fixed.
     """
     x = data.values
-    n = data.n
+    n, p = data.n, data.p
     if K < 1 or K > n:
         raise ValueError(f"K={K} out of range for n={n}")
-    if K > 1 and _count_distinct_rows(x) < K:
+    if K > 1 and data.n_distinct < K:
         raise ValueError(f"K={K} exceeds the number of distinct rows")
 
     if K == 1:
@@ -108,7 +100,7 @@ def lloyd(
         return KMeansResult(Partition(np.ones(n, dtype=np.int64)), center, wgss, 0)
 
     if init == "macqueen":
-        centers = _init_macqueen(x, K, generator(seed))
+        centers = _init_macqueen(x, data.row_ids, K, generator(seed))
     elif init == "maximin":
         centers = _init_maximin(x, K)
     else:
@@ -134,9 +126,10 @@ def lloyd(
 
         changed = not np.array_equal(new_labels, labels)
         labels = new_labels
-        sums = np.column_stack(
-            [np.bincount(labels, weights=x[:, d], minlength=K) for d in range(x.shape[1])]
-        )
+        # bin (k, d) of the flat layout sums x[i, d] over members i in row order
+        sums = np.bincount(
+            (labels[:, None] * p + np.arange(p)).ravel(), weights=x.ravel(), minlength=K * p
+        ).reshape(K, p)
         centers = sums / counts[:, None]
         if not changed:
             break
@@ -233,8 +226,6 @@ def krzanowski_candidates(
 
     children = spawn(seed, len(k_range))
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
             runs = list(
                 pool.map(

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import Seed, spawn
+from ._rng import Seed, generator, spawn
 from .consensus import (
     DEFAULT_CV_CUT,
     DEFAULT_MEAN_CUT,
@@ -18,14 +18,14 @@ from .consensus import (
     DEFAULT_THRESHOLD,
     KStarEstimate,
     SimilarityMatrix,
-    _psi_over,
+    co_association,
     estimate_kstar,
     mean_ari_scores,
 )
 from .core import SCATTER_LABEL, DataMatrix, Partition
 from .gaussdist import entity_distance_matrix, fit_entity, variance_floor
 from .hierarchy import ChangePointReport, MergeTrace, change_points, cut_to_partition, single_linkage
-from .kmeans import KrzanowskiTrace, krzanowski_candidates
+from .kmeans import KrzanowskiTrace, best_of, krzanowski_candidates
 from .scatter import ScatterResult, default_scatter_starts, remove_scatter
 
 
@@ -206,8 +206,7 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     timings["scatter"] = time.monotonic() - t
 
     t = time.monotonic()
-    distinct = np.unique(core_data.values, axis=0).shape[0]
-    kmax = min(cfg["G"], distinct)
+    kmax = min(cfg["G"], core_data.n_distinct)
     krz_trace = None
     results = {}
     if kmax >= 3:
@@ -232,8 +231,6 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
                     k0_candidates.append(k)
     else:
         warnings.append(f"too few distinct observations for the K0 search; using K0={kmax}")
-        from .kmeans import best_of
-
         k0_candidates = [kmax]
         results[kmax] = best_of(
             core_data, kmax, starts=cfg["kmeans_starts"], seed=stream_krz, init=cfg["init"]
@@ -328,13 +325,11 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
         chosen_index = int(np.argmax(mean_ari))
     final = pool_parts[chosen_index]
 
-    from ._rng import generator
-
     sub_cap = cfg["subsample"] if cfg["subsample"] is not None else DEFAULT_SUBSAMPLE_CAP
     take = min(n_star, sub_cap)
     rng = generator(stream_report)
     sample = np.sort(rng.choice(core_indices, size=take, replace=False))
-    psi = _psi_over([c.partition for c in candidates], sample)
+    psi = co_association([c.partition for c in candidates], sample)
     similarity = SimilarityMatrix(psi, len(candidates), sample)
     timings["selection"] = time.monotonic() - t
 

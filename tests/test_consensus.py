@@ -7,6 +7,7 @@ from kmh.core import Partition, adjusted_rand_index
 from kmh.consensus import (
     SimilarityMatrix,
     build_similarity,
+    co_association,
     estimate_kstar,
     estimate_kstar_once,
     mean_ari_scores,
@@ -16,6 +17,29 @@ from kmh.consensus import (
 
 def parts(*label_lists):
     return [Partition.from_labels(np.asarray(l)) for l in label_lists]
+
+
+def psi_reference(partitions, indices):
+    """Co-association by one broadcast compare per partition."""
+    acc = np.zeros((indices.size, indices.size), dtype=np.int32)
+    for part in partitions:
+        sub = part.labels[indices]
+        acc += sub[:, None] == sub[None, :]
+    return acc / float(len(partitions))
+
+
+def test_co_association_matches_broadcast_reference():
+    # scatter label 0 present, K from 1 to 8, N from 1 to 30 (so most N
+    # give inexact fractions): the GEMM form must agree to the last bit
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        N = int(rng.integers(1, 31))
+        ks = rng.integers(1, 9, size=N)
+        ps = [Partition.from_labels(rng.integers(0, k + 1, size=50)) for k in ks]
+        for indices in (np.arange(50), np.sort(rng.choice(50, size=23, replace=False))):
+            psi = co_association(ps, indices)
+            assert psi.dtype == np.float64
+            assert np.array_equal(psi, psi_reference(ps, indices))
 
 
 def test_build_similarity_hand_count():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kmh.core import DataMatrix
-from kmh.kmeans import best_of, krzanowski_candidates, krzanowski_from_traces, lloyd
+from kmh.kmeans import _init_macqueen, best_of, krzanowski_candidates, krzanowski_from_traces, lloyd
 
 
 def wgss_direct(data, result):
@@ -64,6 +64,45 @@ def test_k_exceeding_distinct_rows():
         lloyd(data, 3, seed=0)
     res = lloyd(data, 2, seed=0)
     assert res.wgss == 0.0
+
+
+def test_distinct_rows_equate_signed_zeros():
+    data = DataMatrix(np.array([[0.0, 1], [-0.0, 1], [1, -0.0], [1, 0.0], [2, 2], [0.0, 1]]))
+    assert data.n_distinct == 3
+    ids = data.row_ids
+    assert ids[0] == ids[1] == ids[5] and ids[2] == ids[3]
+    assert len({ids[0], ids[2], ids[4]}) == 3
+    with pytest.raises(ValueError, match="distinct rows"):
+        lloyd(data, 4, seed=0)
+    assert lloyd(data, 3, seed=0).wgss == 0.0
+
+
+def macqueen_reference(x, K, rng):
+    """MacQueen seeding by per-row compares: walk a random permutation and
+    keep each row that equals none kept so far, until K are kept."""
+    chosen = []
+    for idx in rng.permutation(x.shape[0]):
+        if any(np.array_equal(x[idx], x[c]) for c in chosen):
+            continue
+        chosen.append(int(idx))
+        if len(chosen) == K:
+            break
+    return x[chosen]
+
+
+def test_macqueen_seeds_match_per_row_reference():
+    # each of 9 grid points 6 times, signed-zero copies of two of them,
+    # and a -0.0/0.0 pair: 10 distinct rows, shuffled per seed
+    grid = np.array([[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
+    extra = [[-0.0, 1.0], [1.0, -0.0], [0.0, 7.0], [-0.0, 7.0]]
+    rows = np.vstack([np.repeat(grid, 6, axis=0), extra])
+    for seed in range(20):
+        data = DataMatrix(rows[np.random.default_rng(100 + seed).permutation(rows.shape[0])])
+        assert data.n_distinct == 10
+        for K in (2, 3, 6, 10):
+            got = _init_macqueen(data.values, data.row_ids, K, np.random.default_rng(seed))
+            want = macqueen_reference(data.values, K, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()  # same rows, -0.0 vs 0.0 included
 
 
 def test_empty_cluster_repair_keeps_k():
