@@ -4,6 +4,7 @@ labels, a JSON report, the similarity matrix, and a clustered heatmap."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -129,7 +130,7 @@ def _report_payload(report, truth: Partition | None) -> dict:
     krz = report.krz_trace
     payload = {
         "schema_version": 1,
-        "config": report.config_resolved,
+        "config": dataclasses.asdict(report.config_resolved),
         "n": report.final_partition.n,
         "n_star": report.scatter.n_star,
         "scatter_indices": [int(i) for i in report.scatter.scatter_indices],
@@ -185,11 +186,8 @@ def _report_payload(report, truth: Partition | None) -> dict:
     return payload
 
 
-def cmd_run(args) -> int:
-    t_start = time.monotonic()
-    data, truth = read_csv(args.input, truth_col=args.truth_col)
-
-    config = KmhConfig(
+def config_from_args(args) -> KmhConfig:
+    return KmhConfig(
         seed=args.seed,
         M=args.M,
         L=args.L,
@@ -203,12 +201,19 @@ def cmd_run(args) -> int:
         standardize=args.standardize,
         threads=args.threads,
     )
-    resolved = config.resolve(data.n, data.p)
-    if args.kstar is not None and args.kstar > resolved["G"]:
-        raise InputError(f"kstar={args.kstar} exceeds G={resolved['G']}")
+
+
+def cmd_run(args) -> int:
+    t_start = time.monotonic()
+    data, truth = read_csv(args.input, truth_col=args.truth_col)
+    try:
+        config = config_from_args(args).resolve(data)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
     os.makedirs(args.output_dir, exist_ok=True)
     report = run_kmh(data, config)
+    payload = _report_payload(report, truth)
 
     paths = {
         name: os.path.join(args.output_dir, name + ext)
@@ -224,7 +229,7 @@ def cmd_run(args) -> int:
     write_labels(paths["labels"], report.final_partition)
     _atomic_write(
         paths["report"],
-        json.dumps(_report_payload(report, truth), indent=1, sort_keys=True) + "\n",
+        json.dumps(payload, indent=1, sort_keys=True) + "\n",
     )
     write_similarity(paths["similarity"], report.similarity)
     write_heatmap(report.similarity, paths["heatmap"], paths["heatmap_order"])
@@ -232,7 +237,7 @@ def cmd_run(args) -> int:
     manifest = {
         "input": os.path.abspath(args.input),
         "seed": args.seed,
-        "config": resolved,
+        "config": payload["config"],
         "versions": {
             "kmh": __version__,
             "python": sys.version.split()[0],
@@ -250,7 +255,7 @@ def cmd_run(args) -> int:
         f"pool={len(report.selection_pool)} chosen={report.chosen_index}"
     )
     if truth is not None:
-        print(f"ARI vs truth: {_report_payload(report, truth)['ari_vs_truth']:.4f}")
+        print(f"ARI vs truth: {payload['ari_vs_truth']:.4f}")
     return EXIT_OK
 
 
@@ -290,27 +295,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = KmhConfig()
     run = sub.add_parser("run", help="cluster a CSV dataset")
     run.add_argument("--input", required=True, help="input CSV (optional header line)")
     run.add_argument("--output-dir", default=".", help="directory for output artifacts")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int, default=defaults.seed)
     run.add_argument("--kstar", type=int, default=None, help="known number of clusters")
     run.add_argument("--M", type=int, default=None, help="number of K0 candidates")
-    run.add_argument("--L", type=int, default=3, help="stopping candidates per K0")
-    run.add_argument("--B", type=int, default=100, help="consensus replicates")
+    run.add_argument("--L", type=int, default=defaults.L, help="stopping candidates per K0")
+    run.add_argument("--B", type=int, default=defaults.B, help="consensus replicates")
     run.add_argument("--G", type=int, default=None, help="largest candidate group size")
     run.add_argument("--standardize", action="store_true")
-    run.add_argument("--scatter-frac", type=float, default=0.001)
+    run.add_argument("--scatter-frac", type=float, default=defaults.scatter_frac)
     run.add_argument(
         "--linkage-cutoffs",
         type=lambda s: tuple(float(v) for v in s.split(",")),
-        default=(0.3, 1.0),
+        default=(defaults.mean_cut, defaults.cv_cut),
         metavar="MEAN,CV",
         help="similarity mean / coefficient-of-variation cutoffs for linkage choice",
     )
     run.add_argument("--subsample", type=int, default=None)
     run.add_argument("--truth-col", type=int, default=None, help="0-based ground-truth column")
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=int, default=defaults.threads)
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("gen", help="generate a benchmark dataset CSV")

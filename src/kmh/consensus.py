@@ -157,12 +157,3 @@ def mean_ari_scores(partitions, scatter: str = "include"):
             )
     return ari, ari.mean(axis=1)
 
-
-def select_best_partition(partitions, scatter: str = "include"):
-    """Index and partition maximizing mean ARI against all candidates
-    (self term included); ties go to the lowest index."""
-    if len(partitions) < 2:
-        raise ValueError("need at least 2 candidate partitions")
-    _, w_bar = mean_ari_scores(partitions, scatter=scatter)
-    idx = int(np.argmax(w_bar))
-    return idx, partitions[idx]

@@ -206,7 +206,6 @@ def krzanowski_candidates(
     starts: int = 10,
     seed: Seed = 0,
     init: str = "macqueen",
-    keep_results: bool = False,
     threads: int = 1,
 ):
     """Rank candidate over-segmentation sizes by the Diff(K) ratio criterion.
@@ -214,7 +213,7 @@ def krzanowski_candidates(
     Runs best-of-`starts` K-means for every K in `k_range` (consecutive
     ascending; a leading K=1 is implied when the range starts at 2, since
     the K=1 trace is just the total scatter). Returns (KrzanowskiTrace,
-    candidates) and, with keep_results, also a dict K -> KMeansResult.
+    candidates, results), results a dict K -> KMeansResult.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -225,23 +224,15 @@ def krzanowski_candidates(
         raise ValueError("k_range too short to form any Diff ratio")
 
     children = spawn(seed, len(k_range))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(
-                pool.map(
-                    lambda kc: best_of(data, kc[0], starts=starts, seed=kc[1], init=init),
-                    zip(k_range, children),
-                )
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        runs = list(
+            pool.map(
+                lambda kc: best_of(data, kc[0], starts=starts, seed=kc[1], init=init),
+                zip(k_range, children),
             )
-    else:
-        runs = [
-            best_of(data, k, starts=starts, seed=child, init=init)
-            for k, child in zip(k_range, children)
-        ]
+        )
     results: dict[int, KMeansResult] = dict(zip(k_range, runs))
     traces = [res.wgss for res in runs]
 
     trace, candidates = krzanowski_from_traces(k_range, traces, data.p, M)
-    if keep_results:
-        return trace, candidates, results
-    return trace, candidates
+    return trace, candidates, results

@@ -6,11 +6,11 @@ from __future__ import annotations
 import time
 import warnings as _warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._rng import Seed, generator, spawn
+from ._rng import generator, spawn
 from .consensus import (
     DEFAULT_CV_CUT,
     DEFAULT_MEAN_CUT,
@@ -63,38 +63,33 @@ class KmhConfig:
     cp_alt_mapping: bool = False
     threads: int = 1
 
-    def resolve(self, n: int, p: int) -> dict:
-        """Concrete value of every parameter for this dataset size."""
-        resolved = {
-            "seed": self.seed,
-            "M": self.M if self.M is not None else default_m(n, p),
-            "L": self.L,
-            "B": self.B,
-            "G": self.G if self.G is not None else default_g(n),
-            "kstar_known": self.kstar_known,
-            "kmeans_starts": self.kmeans_starts,
-            "scatter_starts": (
+    def resolve(self, data: DataMatrix) -> KmhConfig:
+        """This config with every None default that depends on the data
+        filled in; fails on values no run could use. Idempotent."""
+        n, p = data.n, data.p
+        if data.n_distinct < 2:
+            raise ValueError("need at least 2 distinct observations")
+        cfg = replace(
+            self,
+            M=self.M if self.M is not None else default_m(n, p),
+            G=self.G if self.G is not None else min(default_g(n), data.n_distinct),
+            scatter_starts=(
                 self.scatter_starts
                 if self.scatter_starts is not None
                 else default_scatter_starts(n, p)
             ),
-            "scatter_frac": self.scatter_frac,
-            "threshold": self.threshold,
-            "mean_cut": self.mean_cut,
-            "cv_cut": self.cv_cut,
-            "subsample": self.subsample,  # capped against n* during the run
-            "standardize": self.standardize,
-            "init": self.init,
-            "cp_alt_mapping": self.cp_alt_mapping,
-            "threads": self.threads,
-        }
-        if resolved["M"] < 1 or resolved["L"] < 1 or resolved["B"] < 1:
-            raise ValueError("M, L and B must all be >= 1")
-        if not (2 <= resolved["G"] <= n):
-            raise ValueError(f"G={resolved['G']} out of range for n={n}")
-        if resolved["kstar_known"] is not None and resolved["kstar_known"] < 1:
-            raise ValueError("kstar_known must be >= 1")
-        return resolved
+        )
+        if min(cfg.M, cfg.L, cfg.B, cfg.threads) < 1:
+            raise ValueError("M, L, B and threads must all be >= 1")
+        if not (2 <= cfg.G <= data.n_distinct):
+            raise ValueError(
+                f"G={cfg.G} must be in [2, {data.n_distinct}], the number of distinct observations"
+            )
+        if cfg.kstar_known is not None and not (1 <= cfg.kstar_known <= cfg.G):
+            raise ValueError(f"kstar={cfg.kstar_known} must be in [1, G={cfg.G}]")
+        if not (0.0 < cfg.threshold < 1.0):
+            raise ValueError(f"threshold={cfg.threshold} must be in (0, 1)")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ class KmhReport:
     kstar_estimate: KStarEstimate | None
     similarity: SimilarityMatrix
     scatter: ScatterResult
-    config_resolved: dict
+    config_resolved: KmhConfig
     warnings: list
     timings: dict = field(default_factory=dict)
 
@@ -163,14 +158,16 @@ def _entity_phase(core_data, km_result, floor):
     return trace
 
 
-def _pad_kstars(kstars: list, L: int, k0: int) -> list:
-    padded = list(kstars)
-    for k in range(k0, 1, -1):
-        if len(padded) >= L:
+def _pad(values: list, size: int, top: int) -> list:
+    """`values` topped up to `size` entries with the unused integers top,
+    top-1, ..., 2, then cut to `size`."""
+    padded = list(values)
+    for k in range(top, 1, -1):
+        if len(padded) >= size:
             break
         if k not in padded:
             padded.append(k)
-    return padded[:L]
+    return padded[:size]
 
 
 def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
@@ -179,13 +176,13 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     Deterministic for a fixed config: all randomness flows from config.seed
     through fixed, per-phase substreams.
     """
-    cfg = config.resolve(data.n, data.p)
+    cfg = config.resolve(data)
     timings: dict[str, float] = {}
     warnings: list[str] = []
-    stream_scatter, stream_krz, stream_consensus, stream_report = spawn(cfg["seed"], 4)
+    stream_scatter, stream_krz, stream_consensus, stream_report = spawn(cfg.seed, 4)
 
     t = time.monotonic()
-    if cfg["standardize"]:
+    if cfg.standardize:
         const = constant_columns(data)
         if const:
             warnings.append(f"zero-variance columns left unscaled: {const}")
@@ -196,7 +193,7 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
 
     t = time.monotonic()
     scat = remove_scatter(
-        data, cfg["G"], frac=cfg["scatter_frac"], starts=cfg["scatter_starts"], seed=stream_scatter
+        data, cfg.G, frac=cfg.scatter_frac, starts=cfg.scatter_starts, seed=stream_scatter
     )
     core_indices = scat.core_indices
     if core_indices.size < 2:
@@ -206,35 +203,29 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     timings["scatter"] = time.monotonic() - t
 
     t = time.monotonic()
-    kmax = min(cfg["G"], core_data.n_distinct)
+    kmax = min(cfg.G, core_data.n_distinct)
     krz_trace = None
-    results = {}
     if kmax >= 3:
         krz_trace, k0_candidates, results = krzanowski_candidates(
             core_data,
             range(2, kmax + 1),
-            M=cfg["M"],
-            starts=cfg["kmeans_starts"],
+            M=cfg.M,
+            starts=cfg.kmeans_starts,
             seed=stream_krz,
-            init=cfg["init"],
-            keep_results=True,
-            threads=cfg["threads"],
+            init=cfg.init,
+            threads=cfg.threads,
         )
-        if len(k0_candidates) < cfg["M"]:
+        if len(k0_candidates) < cfg.M:
             warnings.append(
                 f"only {len(k0_candidates)} eligible Diff-ratio candidates; padding from K={kmax} down"
             )
-            for k in range(kmax, 1, -1):
-                if len(k0_candidates) >= cfg["M"]:
-                    break
-                if k not in k0_candidates:
-                    k0_candidates.append(k)
+            k0_candidates = _pad(k0_candidates, cfg.M, kmax)
     else:
         warnings.append(f"too few distinct observations for the K0 search; using K0={kmax}")
         k0_candidates = [kmax]
-        results[kmax] = best_of(
-            core_data, kmax, starts=cfg["kmeans_starts"], seed=stream_krz, init=cfg["init"]
-        )
+        results = {
+            kmax: best_of(core_data, kmax, starts=cfg.kmeans_starts, seed=stream_krz, init=cfg.init)
+        }
     timings["krzanowski"] = time.monotonic() - t
 
     t = time.monotonic()
@@ -243,58 +234,57 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     for k0 in k0_candidates:
         if k0 > n_star:
             warnings.append(f"K0={k0} exceeds n*={n_star}; skipped")
-        elif cfg["kstar_known"] is not None and cfg["kstar_known"] > k0:
-            warnings.append(f"K0={k0} below known kstar={cfg['kstar_known']}; skipped")
+        elif cfg.kstar_known is not None and cfg.kstar_known > k0:
+            warnings.append(f"K0={k0} below known kstar={cfg.kstar_known}; skipped")
         else:
             usable_k0.append(k0)
     if not usable_k0:
         raise KmhError("no usable K0 candidate remains")
 
-    if cfg["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            traces = list(
-                pool.map(lambda k0: _entity_phase(core_data, results[k0], floor), usable_k0)
-            )
-    else:
-        traces = [_entity_phase(core_data, results[k0], floor) for k0 in usable_k0]
-    merge_traces: dict[int, MergeTrace] = dict(zip(usable_k0, traces))
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        traces = pool.map(lambda k0: _entity_phase(core_data, results[k0], floor), usable_k0)
+        merge_traces: dict[int, MergeTrace] = dict(zip(usable_k0, traces))
+    entity_parts = {
+        k0: _to_full_partition(results[k0].partition.labels, core_indices, data.n)
+        for k0 in usable_k0
+    }
+
+    def cut(k0: int, kstar: int) -> CandidatePartition:
+        return CandidatePartition(
+            k0, kstar, cut_to_partition(merge_traces[k0], kstar, entity_parts[k0])
+        )
 
     cp_reports: dict[int, ChangePointReport] = {}
     candidates: list[CandidatePartition] = []
     for k0 in usable_k0:
-        trace = merge_traces[k0]
-        entity_part = _to_full_partition(
-            results[k0].partition.labels, core_indices, data.n
-        )
-        if cfg["kstar_known"] is not None:
-            kstars = [cfg["kstar_known"]]
+        if cfg.kstar_known is not None:
+            kstars = [cfg.kstar_known]
         else:
-            report = change_points(trace, min(cfg["L"], max(1, k0 - 1)), cfg["cp_alt_mapping"])
-            cp_reports[k0] = report
-            kstars = _pad_kstars(report.candidate_kstars, cfg["L"], k0)
-            if len(kstars) < cfg["L"]:
-                warnings.append(f"K0={k0} yields only {len(kstars)} stopping candidates")
-        for kstar in kstars:
-            candidates.append(
-                CandidatePartition(k0, kstar, cut_to_partition(trace, kstar, entity_part))
+            report = change_points(
+                merge_traces[k0], min(cfg.L, max(1, k0 - 1)), cfg.cp_alt_mapping
             )
+            cp_reports[k0] = report
+            kstars = _pad(report.candidate_kstars, cfg.L, k0)
+            if len(kstars) < cfg.L:
+                warnings.append(f"K0={k0} yields only {len(kstars)} stopping candidates")
+        candidates += [cut(k0, kstar) for kstar in kstars]
     timings["partitions"] = time.monotonic() - t
 
     t = time.monotonic()
+    take = min(n_star, cfg.subsample if cfg.subsample is not None else DEFAULT_SUBSAMPLE_CAP)
     kstar_estimate = None
-    if cfg["kstar_known"] is not None:
-        chosen_kstar = cfg["kstar_known"]
+    if cfg.kstar_known is not None:
+        chosen_kstar = cfg.kstar_known
         pool_candidates = candidates
     else:
-        sub = cfg["subsample"] if cfg["subsample"] is not None else DEFAULT_SUBSAMPLE_CAP
         kstar_estimate = estimate_kstar(
             [c.partition for c in candidates],
-            B=cfg["B"],
-            subsample=min(sub, n_star),
+            B=cfg.B,
+            subsample=take,
             seed=stream_consensus,
-            threshold=cfg["threshold"],
-            mean_cut=cfg["mean_cut"],
-            cv_cut=cfg["cv_cut"],
+            threshold=cfg.threshold,
+            mean_cut=cfg.mean_cut,
+            cv_cut=cfg.cv_cut,
         )
         chosen_kstar = kstar_estimate.median_kstar
         pool_candidates = []
@@ -302,31 +292,15 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
             if chosen_kstar > k0:
                 warnings.append(f"K0={k0} below consensus kstar={chosen_kstar}; dropped from pool")
                 continue
-            entity_part = _to_full_partition(
-                results[k0].partition.labels, core_indices, data.n
-            )
-            pool_candidates.append(
-                CandidatePartition(
-                    k0, chosen_kstar, cut_to_partition(merge_traces[k0], chosen_kstar, entity_part)
-                )
-            )
+            pool_candidates.append(cut(k0, chosen_kstar))
         if not pool_candidates:
             raise KmhError(f"no K0 candidate can host kstar={chosen_kstar}")
     timings["consensus"] = time.monotonic() - t
 
     t = time.monotonic()
-    pool_parts = [c.partition for c in pool_candidates]
-    if len(pool_parts) == 1:
-        ari_matrix = np.ones((1, 1))
-        mean_ari = np.ones(1)
-        chosen_index = 0
-    else:
-        ari_matrix, mean_ari = mean_ari_scores(pool_parts)
-        chosen_index = int(np.argmax(mean_ari))
-    final = pool_parts[chosen_index]
+    ari_matrix, mean_ari = mean_ari_scores([c.partition for c in pool_candidates])
+    chosen_index = int(np.argmax(mean_ari))
 
-    sub_cap = cfg["subsample"] if cfg["subsample"] is not None else DEFAULT_SUBSAMPLE_CAP
-    take = min(n_star, sub_cap)
     rng = generator(stream_report)
     sample = np.sort(rng.choice(core_indices, size=take, replace=False))
     psi = co_association([c.partition for c in candidates], sample)
@@ -334,7 +308,7 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     timings["selection"] = time.monotonic() - t
 
     return KmhReport(
-        final_partition=final,
+        final_partition=pool_candidates[chosen_index].partition,
         chosen_index=chosen_index,
         chosen_kstar=chosen_kstar,
         selection_pool=pool_candidates,

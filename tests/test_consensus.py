@@ -11,12 +11,16 @@ from kmh.consensus import (
     estimate_kstar,
     estimate_kstar_once,
     mean_ari_scores,
-    select_best_partition,
 )
 
 
 def parts(*label_lists):
     return [Partition.from_labels(np.asarray(l)) for l in label_lists]
+
+
+def select_best(partitions):
+    """The pipeline's selection rule: the largest mean ARI, first on ties."""
+    return int(np.argmax(mean_ari_scores(partitions)[1]))
 
 
 def psi_reference(partitions, indices):
@@ -170,47 +174,50 @@ def test_lower_median_convention():
 def test_select_best_majority():
     p = [1, 1, 2, 2]
     q = [1, 2, 1, 2]
-    idx, best = select_best_partition(parts(p, p, q))
-    assert idx == 0
-    assert np.array_equal(best.labels, Partition.from_labels(np.asarray(p)).labels)
+    assert select_best(parts(p, p, q)) == 0
+    assert select_best(parts(q, p, p)) == 1
 
 
 def test_select_best_tie_lowest_index():
     p = [1, 1, 2, 2]
-    idx, _ = select_best_partition(parts(p, p, p))
-    assert idx == 0
+    assert select_best(parts(p, p, p)) == 0
+    # indices 1 and 4 hold the same partition and tie for the best mean
+    p, q, x = [1, 1, 1, 2, 2, 2], [1, 1, 2, 2, 3, 3], [1, 2, 1, 2, 1, 2]
+    assert select_best(parts(x, p, q, q, p)) == 1
+
+
+def test_single_partition_scores_one():
+    ari, mean = mean_ari_scores(parts([1, 1, 2]))
+    assert np.array_equal(ari, [[1.0]])
+    assert np.array_equal(mean, [1.0])
+    assert select_best(parts([1, 1, 2])) == 0
 
 
 def test_select_best_matches_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(15):
         ps = parts(*[rng.integers(1, 4, size=10) for _ in range(5)])
-        idx, _ = select_best_partition(ps)
         scores = []
         for i in range(len(ps)):
             scores.append(
                 sum(adjusted_rand_index(ps[i], ps[j]) for j in range(len(ps))) / len(ps)
             )
-        assert idx == int(np.argmax(scores))
+        assert select_best(ps) == int(np.argmax(scores))
 
 
 def test_select_best_relabel_invariance():
     rng = np.random.default_rng(4)
     ps = parts(*[rng.integers(1, 4, size=12) for _ in range(4)])
-    idx1, _ = select_best_partition(ps)
     relabeled = []
     for p in ps:
         perm = rng.permutation(p.K) + 1
         relabeled.append(Partition.from_labels(perm[p.labels - 1]))
-    idx2, _ = select_best_partition(relabeled)
-    assert idx1 == idx2
+    assert select_best(ps) == select_best(relabeled)
 
 
 def test_argument_errors():
     with pytest.raises(ValueError):
         build_similarity([])
-    with pytest.raises(ValueError):
-        select_best_partition(parts([1, 1, 2]))
     labels = [1] * 5 + [2] * 5
     with pytest.raises(ValueError):
         estimate_kstar(parts(labels, labels), B=0)

@@ -156,7 +156,7 @@ def test_krzanowski_on_three_blobs():
     rng = np.random.default_rng(8)
     centers = np.repeat([[0, 0], [12, 0], [0, 12]], 60, axis=0)
     data = DataMatrix(centers + rng.normal(size=(180, 2)))
-    trace, cand = krzanowski_candidates(data, range(2, 10), M=3, starts=10, seed=9)
+    trace, cand, _ = krzanowski_candidates(data, range(2, 10), M=3, starts=10, seed=9)
     assert 3 in cand
     # independently recomputed traces match the stored ones
     for k, stored in zip(trace.k_values, trace.traces):

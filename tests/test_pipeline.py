@@ -51,3 +51,42 @@ def test_seeded_run_matches_golden(name, threads):
     assert report.chosen_kstar == kstar
     assert sha256(report.final_partition.labels, "<i8") == labels_sha
     assert sha256(report.similarity.psi, "<f8") == psi_sha
+
+
+def three_values() -> DataMatrix:
+    """120 rows holding only 3 distinct values."""
+    return DataMatrix(np.repeat([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], 40, axis=0))
+
+
+def test_resolve_fills_data_defaults_once():
+    data = gen_bullseye(seed=0).data
+    cfg = KmhConfig().resolve(data)
+    assert isinstance(cfg, KmhConfig)
+    assert (cfg.M, cfg.G, cfg.scatter_starts) == (2, 20, 29)
+    assert cfg.resolve(data) == cfg
+
+
+def test_duplicate_heavy_input_caps_default_g():
+    data = three_values()
+    assert KmhConfig().resolve(data).G == 3
+    report = run_kmh(data, KmhConfig(B=10))
+    assert report.config_resolved.G == 3
+    assert report.final_partition.n == 120
+    with pytest.raises(ValueError, match="distinct"):
+        KmhConfig(G=10).resolve(data)
+    with pytest.raises(ValueError, match="distinct"):
+        run_kmh(DataMatrix(np.ones((20, 2))))
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (KmhConfig(threshold=1.5), "threshold"),
+        (KmhConfig(threshold=0.0), "threshold"),
+        (KmhConfig(threads=0), "threads"),
+        (KmhConfig(kstar_known=4), "kstar"),
+    ],
+)
+def test_bad_config_fails_before_clustering(config, message):
+    with pytest.raises(ValueError, match=message):
+        run_kmh(three_values(), config)
