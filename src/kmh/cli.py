@@ -129,7 +129,7 @@ def write_heatmap(sim: SimilarityMatrix, path: str, order_path: str | None = Non
 def _report_payload(report, truth: Partition | None) -> dict:
     krz = report.krz_trace
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "config": dataclasses.asdict(report.config_resolved),
         "n": report.final_partition.n,
         "n_star": report.scatter.n_star,
@@ -184,6 +184,13 @@ def _report_payload(report, truth: Partition | None) -> dict:
         "warnings": list(report.warnings),
     }
     return payload
+
+
+def _cutoff_pair(text: str) -> tuple:
+    values = tuple(float(v) for v in text.split(","))
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"expected two values MEAN,CV, got {text!r}")
+    return values
 
 
 def config_from_args(args) -> KmhConfig:
@@ -277,12 +284,10 @@ def cmd_gen(args) -> int:
             n_outliers=args.n_outliers,
             seed=args.seed,
         )
-    elif args.shape == "blobs":
+    else:  # "blobs", the only other shape argparse admits
         centers = [[float(v) for v in c.split(",")] for c in args.centers.split(";")]
         sizes = [int(s) for s in args.sizes.split(",")]
         ds = gen_gaussian_blobs(centers, sizes, sigma=args.sigma, seed=args.seed)
-    else:  # argparse choices make this unreachable
-        raise InputError(f"unknown shape {args.shape!r}")
     _write_dataset_csv(args.out, ds)
     print(f"{ds.descriptor} -> {args.out} ({ds.data.n} rows, truth in last column)")
     return EXIT_OK
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scatter-frac", type=float, default=defaults.scatter_frac)
     run.add_argument(
         "--linkage-cutoffs",
-        type=lambda s: tuple(float(v) for v in s.split(",")),
+        type=_cutoff_pair,
         default=(defaults.mean_cut, defaults.cv_cut),
         metavar="MEAN,CV",
         help="similarity mean / coefficient-of-variation cutoffs for linkage choice",

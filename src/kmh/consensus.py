@@ -14,14 +14,13 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from ._rng import Seed, generator
-from .core import SCATTER_LABEL, Partition, adjusted_rand_index
+from .core import SCATTER_LABEL, adjusted_rand_index
 
 DEFAULT_THRESHOLD = 0.5
 # linkage-choice cutoffs: co-association ensembles whose off-diagonal mass is
-# modest or noisy get chained with single linkage (see estimate_kstar_once)
+# modest or noisy get chained with single linkage (see count_groups)
 DEFAULT_MEAN_CUT = 0.5
 DEFAULT_CV_CUT = 0.8
-DEFAULT_SUBSAMPLE_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,6 @@ class SimilarityMatrix:
     """Fraction of partitions placing each observation pair together."""
 
     psi: np.ndarray
-    N: int
     indices: np.ndarray  # observation ids the rows/columns refer to
 
 
@@ -66,16 +64,18 @@ def co_association(partitions, indices: np.ndarray) -> np.ndarray:
     return (y @ y.T).astype(np.float64) / float(len(partitions))
 
 
-def build_similarity(partitions) -> SimilarityMatrix:
-    """Co-association matrix over the observations that are scatter in no
-    partition; entries are co-membership counts divided by N."""
-    if not partitions:
-        raise ValueError("need at least one partition")
-    indices = _core_indices(partitions)
-    return SimilarityMatrix(co_association(partitions, indices), len(partitions), indices)
+def count_groups(
+    psi: np.ndarray,
+    threshold: float = DEFAULT_THRESHOLD,
+    mean_cut: float = DEFAULT_MEAN_CUT,
+    cv_cut: float = DEFAULT_CV_CUT,
+) -> int:
+    """Cluster count left after cutting the 1-psi dendrogram at 1-threshold.
 
-
-def _count_groups(psi: np.ndarray, threshold: float, mean_cut: float, cv_cut: float) -> int:
+    Linkage is single when the off-diagonal similarities are generally
+    small (mean below mean_cut) or uncertain (coefficient of variation
+    above cv_cut), complete otherwise.
+    """
     m = psi.shape[0]
     if m < 2:
         raise ValueError("need at least 2 observations")
@@ -91,27 +91,10 @@ def _count_groups(psi: np.ndarray, threshold: float, mean_cut: float, cv_cut: fl
     return int(flat.max())
 
 
-def estimate_kstar_once(
-    sim: SimilarityMatrix,
-    threshold: float = DEFAULT_THRESHOLD,
-    mean_cut: float = DEFAULT_MEAN_CUT,
-    cv_cut: float = DEFAULT_CV_CUT,
-) -> int:
-    """Cluster count left after cutting the 1-psi dendrogram at 1-threshold.
-
-    Linkage is single when the off-diagonal similarities are generally
-    small (mean below mean_cut) or uncertain (coefficient of variation
-    above cv_cut), complete otherwise.
-    """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must be in (0, 1)")
-    return _count_groups(sim.psi, threshold, mean_cut, cv_cut)
-
-
 def estimate_kstar(
     partitions,
     B: int,
-    subsample: int | None = None,
+    subsample: int,
     seed: Seed = 0,
     threshold: float = DEFAULT_THRESHOLD,
     mean_cut: float = DEFAULT_MEAN_CUT,
@@ -119,16 +102,18 @@ def estimate_kstar(
 ) -> KStarEstimate:
     """Replicate the threshold estimate B times on random observation subsets.
 
-    Each replicate samples `subsample` core observations uniformly without
-    replacement (default min(n*, 500)), builds the co-association matrix on
-    the subset, and counts groups. Reports every estimate, the frequency of
-    each value, and their lower median.
+    Each replicate samples `subsample` core observations (scatter in no
+    partition) uniformly without replacement, builds the co-association
+    matrix on the subset, and counts groups. Reports every estimate, the
+    frequency of each value, and their lower median.
     """
+    if not partitions:
+        raise ValueError("need at least one partition")
     if B < 1:
         raise ValueError("B must be >= 1")
+    if not (0.0 < threshold < 1.0):
+        raise ValueError("threshold must be in (0, 1)")
     core = _core_indices(partitions)
-    if subsample is None:
-        subsample = min(core.size, DEFAULT_SUBSAMPLE_CAP)
     if subsample > core.size:
         raise ValueError(f"subsample={subsample} exceeds {core.size} core observations")
 
@@ -137,7 +122,7 @@ def estimate_kstar(
     for _ in range(B):
         chosen = np.sort(rng.choice(core, size=subsample, replace=False))
         psi = co_association(partitions, chosen)
-        estimates.append(_count_groups(psi, threshold, mean_cut, cv_cut))
+        estimates.append(count_groups(psi, threshold, mean_cut, cv_cut))
 
     ordered = sorted(estimates)
     median = ordered[(B - 1) // 2]
@@ -146,14 +131,13 @@ def estimate_kstar(
     return KStarEstimate(estimates, int(median), freqs)
 
 
-def mean_ari_scores(partitions, scatter: str = "include"):
-    """Pairwise ARI matrix (unit diagonal) and its row means."""
+def mean_ari_scores(partitions):
+    """Pairwise ARI matrix (unit diagonal, scatter as a group of its own)
+    and its row means."""
     N = len(partitions)
     ari = np.eye(N)
     for i in range(N):
         for j in range(i + 1, N):
-            ari[i, j] = ari[j, i] = adjusted_rand_index(
-                partitions[i], partitions[j], scatter=scatter
-            )
+            ari[i, j] = ari[j, i] = adjusted_rand_index(partitions[i], partitions[j])
     return ari, ari.mean(axis=1)
 

@@ -62,7 +62,7 @@ class Partition:
     """Cluster label per observation: ids 1..K, with 0 reserved for scatter."""
 
     labels: np.ndarray
-    K: int = field(default=-1)
+    K: int = field(init=False)  # number of clusters, read from the labels
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -76,10 +76,7 @@ class Partition:
         k = int(positive.size)
         if k > 0 and not np.array_equal(positive, np.arange(1, k + 1)):
             raise ValueError(f"cluster ids must be exactly 1..{k}, got {positive.tolist()}")
-        if self.K == -1:
-            object.__setattr__(self, "K", k)
-        elif self.K != k:
-            raise ValueError(f"declared K={self.K} but labels contain {k} clusters")
+        object.__setattr__(self, "K", k)
         object.__setattr__(self, "labels", _readonly(labels))
 
     @property

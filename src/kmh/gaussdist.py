@@ -5,8 +5,7 @@ size). The distance between entities l and j is 1 - (p_lj + p_jl)/2, where
 p_jl is the probability that a point drawn from l's Gaussian is closer (in
 variance-scaled squared distance) to j's center than to its own. The
 probabilities come from a noncentral chi-square law in the unequal-variance
-case and a plain normal in the equal-variance case; a Monte-Carlo sampler of
-the general quadratic-form representation serves as the validation oracle.
+case and a plain normal in the equal-variance case.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln, ndtr
 
-from ._rng import Seed, generator
-
 # "auto" sums the exact Poisson-mixture series up to this df+ncp and uses
 # Sankaran's approximation above it; the switch is for cost (the series has
 # ~ncp/2 terms), not accuracy, and Sankaran is within ~2e-6 from here on
@@ -26,8 +23,6 @@ SERIES_LIMIT = 2000.0
 
 # relative variance gap below which two entities count as equal-variance
 EQUAL_VAR_RTOL = 1e-6
-
-_MC_CHUNK = 250_000
 
 
 @dataclass(frozen=True)
@@ -54,25 +49,6 @@ class SphericalCluster:
     @property
     def p(self) -> int:
         return self.mean.size
-
-
-@dataclass(frozen=True)
-class QuadFormSpec:
-    """Eigenvalues and shifted-mean coefficients of the quadratic form whose
-    law gives the misclassification probability in the general case."""
-
-    lambdas: np.ndarray
-    deltas: np.ndarray
-
-    def __post_init__(self):
-        lambdas = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
-        deltas = np.atleast_1d(np.asarray(self.deltas, dtype=float))
-        if lambdas.shape != deltas.shape or lambdas.ndim != 1:
-            raise ValueError("lambdas and deltas must be vectors of equal length")
-        if np.any(lambdas <= 0):
-            raise ValueError("all lambdas must be > 0")
-        object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "deltas", deltas)
 
 
 def variance_floor(data) -> float:
@@ -103,17 +79,6 @@ def fit_entity(data, member_indices, floor: float | None = None) -> SphericalClu
         total_ss = float(((xs - mean) ** 2).sum())
         sigma2 = max(total_ss / ((idx.size - 1) * data.p), floor)
     return SphericalCluster(mean, sigma2, int(idx.size))
-
-
-def mahalanobis_sq(x, c: SphericalCluster) -> float:
-    """Squared distance of x to the entity center, scaled by its variance."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != c.mean.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {c.mean.shape}")
-    if c.sigma2 <= 0:
-        raise ValueError("sigma2 must be positive (floor it upstream)")
-    diff = x - c.mean
-    return float(diff @ diff / c.sigma2)
 
 
 def _series_cdf(x: float, df: float, ncp: float) -> float:
@@ -202,57 +167,6 @@ def misclass_prob(from_cluster: SphericalCluster, into_cluster: SphericalCluster
     if gap > 0:  # scale (s_l^2/s_j^2 - 1) positive
         return cdf
     return 1.0 - cdf
-
-
-def quadform_from_spherical(
-    from_cluster: SphericalCluster, into_cluster: SphericalCluster
-) -> QuadFormSpec:
-    """Quadratic-form coefficients for a pair of spherical entities: all
-    eigenvalues equal the variance ratio, deltas are the scaled mean gap."""
-    l, j = from_cluster, into_cluster
-    if l.p != j.p:
-        raise ValueError(f"dimension mismatch: {l.p} vs {j.p}")
-    lambdas = np.full(l.p, l.sigma2 / j.sigma2)
-    deltas = (l.mean - j.mean) / np.sqrt(l.sigma2)
-    return QuadFormSpec(lambdas, deltas)
-
-
-def theorem1_mc_cdf(spec: QuadFormSpec, x: float, draws: int, seed: Seed = 0) -> float:
-    """Monte-Carlo CDF of the quadratic-form law at x.
-
-    Samples the representation sum_i [(lam_i - 1) U_i - lam_i d_i^2/(lam_i - 1)]
-    over the lam_i != 1 coordinates (U_i noncentral chi-square, 1 df) plus
-    sum_i d_i (2 Z_i + d_i) over the lam_i = 1 ones. Draws landing exactly
-    on x count half, so atoms are scored by the continuity convention.
-    """
-    if draws < 10_000:
-        raise ValueError("draws must be >= 10000")
-    lam, delta = spec.lambdas, spec.deltas
-    ne = lam != 1.0
-    eq = ~ne
-    lam_ne, delta_ne = lam[ne], delta[ne]
-    delta_eq = delta[eq]
-    shift = float((-lam_ne * delta_ne**2 / (lam_ne - 1.0)).sum())
-    root_ncp = np.abs(lam_ne * delta_ne / (lam_ne - 1.0))
-
-    rng = generator(seed)
-    below = 0.0
-    at = 0.0
-    remaining = draws
-    while remaining > 0:
-        m = min(_MC_CHUNK, remaining)
-        remaining -= m
-        y = np.full(m, shift)
-        if lam_ne.size:
-            z = rng.standard_normal((m, lam_ne.size))
-            u = (z + root_ncp) ** 2
-            y += u @ (lam_ne - 1.0)
-        if delta_eq.size:
-            z = rng.standard_normal((m, delta_eq.size))
-            y += (2.0 * z + delta_eq) @ delta_eq
-        below += np.count_nonzero(y < x)
-        at += np.count_nonzero(y == x)
-    return float((below + 0.5 * at) / draws)
 
 
 def cluster_distance(a: SphericalCluster, b: SphericalCluster) -> float:

@@ -94,13 +94,13 @@ def single_linkage(dist, stop_at: int = 1):
     return MergeTrace(tuple(merges), K0), labels
 
 
-def change_points(trace: MergeTrace, L: int, alt_mapping: bool = False) -> ChangePointReport:
+def change_points(trace: MergeTrace, L: int) -> ChangePointReport:
     """Rank stopping points by the gap between consecutive merge heights.
 
     Gap k (between merges k and k+1) proposes keeping the K0 - k clusters
-    present just before the later, bigger jump (or K0 - k + 1 with
-    alt_mapping). The top L proposals are returned in descending gap
-    order, ties toward the larger cluster count, all clamped to >= 2.
+    present just before the later, bigger jump. The top L proposals are
+    returned in descending gap order, ties toward the larger cluster
+    count, all clamped to >= 2.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -112,9 +112,8 @@ def change_points(trace: MergeTrace, L: int, alt_mapping: bool = False) -> Chang
 
     heights = trace.heights
     cps = np.diff(heights)
-    offset = 1 if alt_mapping else 0
     ranked = sorted(range(cps.size), key=lambda k: (-cps[k], -(K0 - (k + 1))))
-    kstars = [max(2, K0 - (k + 1) + offset) for k in ranked[:L]]
+    kstars = [max(2, K0 - (k + 1)) for k in ranked[:L]]
     return ChangePointReport(cps, kstars)
 
 
@@ -131,24 +130,12 @@ def cut_to_partition(trace: MergeTrace, kstar: int, entity_partition: Partition)
     if entity_partition.K != K0:
         raise ValueError("entity partition does not match the trace")
 
-    parent = list(range(K0))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # each merge joins two whole groups; a group is named by its smallest
+    # entity, so ranking the names numbers the groups
+    root = np.arange(K0)
     for members_a, members_b, _ in trace.merges[: K0 - kstar]:
-        ra, rb = find(min(members_a)), find(min(members_b))
-        parent[max(ra, rb)] = min(ra, rb)
-
-    roots = sorted({find(i) for i in range(K0)})
-    group_of_entity = {e: roots.index(find(e)) + 1 for e in range(K0)}
-
-    labels = np.zeros(entity_partition.n, dtype=np.int64)
-    obs_labels = entity_partition.labels
-    for e in range(K0):
-        labels[obs_labels == e + 1] = group_of_entity[e]
-    labels[obs_labels == SCATTER_LABEL] = SCATTER_LABEL
-    return Partition(labels)
+        merged = list(members_a | members_b)
+        root[merged] = min(merged)
+    group = np.unique(root, return_inverse=True)[1]
+    table = np.concatenate([[SCATTER_LABEL], group + 1])
+    return Partition(table[entity_partition.labels])

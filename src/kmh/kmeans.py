@@ -53,20 +53,6 @@ def _init_macqueen(
     return x[order[np.sort(first)[:K]]]
 
 
-def _init_maximin(x: np.ndarray, K: int) -> np.ndarray:
-    """Deterministic farthest-point seeding: start farthest from the grand
-    mean, then repeatedly add the point maximizing distance to chosen seeds."""
-    center = x.mean(axis=0)
-    d2 = ((x - center) ** 2).sum(axis=1)
-    chosen = [int(np.argmax(d2))]
-    min_d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
-    while len(chosen) < K:
-        nxt = int(np.argmax(min_d2))
-        chosen.append(nxt)
-        min_d2 = np.minimum(min_d2, ((x - x[nxt]) ** 2).sum(axis=1))
-    return x[chosen].copy()
-
-
 def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against roundoff
     d2 = x_sq[:, None] - 2.0 * (x @ centers.T) + (centers**2).sum(axis=1)[None, :]
@@ -78,7 +64,6 @@ def lloyd(
     data: DataMatrix,
     K: int,
     seed: Seed = 0,
-    init: str = "macqueen",
     max_iter: int = MAX_SWEEPS,
 ) -> KMeansResult:
     """One K-means run: seed, then alternate assignment and mean updates
@@ -99,12 +84,7 @@ def lloyd(
         wgss = float(((x - center) ** 2).sum())
         return KMeansResult(Partition(np.ones(n, dtype=np.int64)), center, wgss, 0)
 
-    if init == "macqueen":
-        centers = _init_macqueen(x, data.row_ids, K, generator(seed))
-    elif init == "maximin":
-        centers = _init_maximin(x, K)
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    centers = _init_macqueen(x, data.row_ids, K, generator(seed))
 
     x_sq = (x**2).sum(axis=1)
     labels = np.full(n, -1, dtype=np.int64)
@@ -143,7 +123,6 @@ def best_of(
     K: int,
     starts: int,
     seed: Seed = 0,
-    init: str = "macqueen",
 ) -> KMeansResult:
     """Best of `starts` independent runs by within-group sum of squares.
 
@@ -154,7 +133,7 @@ def best_of(
         raise ValueError("starts must be >= 1")
     best = None
     for child in spawn(seed, starts):
-        result = lloyd(data, K, seed=child, init=init)
+        result = lloyd(data, K, seed=child)
         if best is None or result.wgss < best.wgss:
             best = result
     return best
@@ -205,7 +184,6 @@ def krzanowski_candidates(
     M: int,
     starts: int = 10,
     seed: Seed = 0,
-    init: str = "macqueen",
     threads: int = 1,
 ):
     """Rank candidate over-segmentation sizes by the Diff(K) ratio criterion.
@@ -227,7 +205,7 @@ def krzanowski_candidates(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         runs = list(
             pool.map(
-                lambda kc: best_of(data, kc[0], starts=starts, seed=kc[1], init=init),
+                lambda kc: best_of(data, kc[0], starts=starts, seed=kc[1]),
                 zip(k_range, children),
             )
         )

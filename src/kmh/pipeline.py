@@ -14,7 +14,6 @@ from ._rng import generator, spawn
 from .consensus import (
     DEFAULT_CV_CUT,
     DEFAULT_MEAN_CUT,
-    DEFAULT_SUBSAMPLE_CAP,
     DEFAULT_THRESHOLD,
     KStarEstimate,
     SimilarityMatrix,
@@ -27,6 +26,10 @@ from .gaussdist import entity_distance_matrix, fit_entity, variance_floor
 from .hierarchy import ChangePointReport, MergeTrace, change_points, cut_to_partition, single_linkage
 from .kmeans import KrzanowskiTrace, best_of, krzanowski_candidates
 from .scatter import ScatterResult, default_scatter_starts, remove_scatter
+
+
+# consensus replicates and the report psi use at most this many core rows
+DEFAULT_SUBSAMPLE_CAP = 500
 
 
 class KmhError(RuntimeError):
@@ -59,8 +62,6 @@ class KmhConfig:
     cv_cut: float = DEFAULT_CV_CUT
     subsample: int | None = None
     standardize: bool = False
-    init: str = "macqueen"
-    cp_alt_mapping: bool = False
     threads: int = 1
 
     def resolve(self, data: DataMatrix) -> KmhConfig:
@@ -89,6 +90,12 @@ class KmhConfig:
             raise ValueError(f"kstar={cfg.kstar_known} must be in [1, G={cfg.G}]")
         if not (0.0 < cfg.threshold < 1.0):
             raise ValueError(f"threshold={cfg.threshold} must be in (0, 1)")
+        if cfg.subsample is not None and cfg.subsample < 2:
+            raise ValueError(f"subsample={cfg.subsample} must be >= 2")
+        if not (0.0 <= cfg.scatter_frac < 1.0):
+            raise ValueError(f"scatter_frac={cfg.scatter_frac} must be in [0, 1)")
+        if cfg.seed < 0:
+            raise ValueError(f"seed={cfg.seed} must be >= 0")
         return cfg
 
 
@@ -212,7 +219,6 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
             M=cfg.M,
             starts=cfg.kmeans_starts,
             seed=stream_krz,
-            init=cfg.init,
             threads=cfg.threads,
         )
         if len(k0_candidates) < cfg.M:
@@ -223,9 +229,7 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     else:
         warnings.append(f"too few distinct observations for the K0 search; using K0={kmax}")
         k0_candidates = [kmax]
-        results = {
-            kmax: best_of(core_data, kmax, starts=cfg.kmeans_starts, seed=stream_krz, init=cfg.init)
-        }
+        results = {kmax: best_of(core_data, kmax, starts=cfg.kmeans_starts, seed=stream_krz)}
     timings["krzanowski"] = time.monotonic() - t
 
     t = time.monotonic()
@@ -260,9 +264,7 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
         if cfg.kstar_known is not None:
             kstars = [cfg.kstar_known]
         else:
-            report = change_points(
-                merge_traces[k0], min(cfg.L, max(1, k0 - 1)), cfg.cp_alt_mapping
-            )
+            report = change_points(merge_traces[k0], min(cfg.L, max(1, k0 - 1)))
             cp_reports[k0] = report
             kstars = _pad(report.candidate_kstars, cfg.L, k0)
             if len(kstars) < cfg.L:
@@ -304,7 +306,7 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     rng = generator(stream_report)
     sample = np.sort(rng.choice(core_indices, size=take, replace=False))
     psi = co_association([c.partition for c in candidates], sample)
-    similarity = SimilarityMatrix(psi, len(candidates), sample)
+    similarity = SimilarityMatrix(psi, sample)
     timings["selection"] = time.monotonic() - t
 
     return KmhReport(

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from kmh.core import Partition, adjusted_rand_index
-from kmh.consensus import (
-    SimilarityMatrix,
-    build_similarity,
-    co_association,
-    estimate_kstar,
-    estimate_kstar_once,
-    mean_ari_scores,
-)
+from kmh.consensus import co_association, count_groups, estimate_kstar, mean_ari_scores
 
 
 def parts(*label_lists):
@@ -46,48 +39,52 @@ def test_co_association_matches_broadcast_reference():
             assert np.array_equal(psi, psi_reference(ps, indices))
 
 
+def all_rows(partitions):
+    return co_association(partitions, np.arange(partitions[0].n))
+
+
 def test_build_similarity_hand_count():
-    sim = build_similarity(parts([1, 1, 2], [1, 2, 2]))
-    assert sim.N == 2
-    assert sim.psi[0, 1] == 0.5
-    assert sim.psi[0, 2] == 0.0
-    assert sim.psi[1, 2] == 0.5
-    assert np.allclose(np.diag(sim.psi), 1.0)
+    psi = all_rows(parts([1, 1, 2], [1, 2, 2]))
+    assert psi[0, 1] == 0.5
+    assert psi[0, 2] == 0.0
+    assert psi[1, 2] == 0.5
+    assert np.allclose(np.diag(psi), 1.0)
 
 
 def test_identical_partitions_give_block_psi():
     labels = [1, 1, 2, 2, 3]
-    sim = build_similarity(parts(labels, labels, labels))
+    psi = all_rows(parts(labels, labels, labels))
     expected = (np.asarray(labels)[:, None] == np.asarray(labels)[None, :]).astype(float)
-    assert np.array_equal(sim.psi, expected)
+    assert np.array_equal(psi, expected)
 
 
 def test_similarity_order_invariant_and_counts_integral():
     rng = np.random.default_rng(0)
     ps = parts(*[rng.integers(1, 4, size=12) for _ in range(5)])
-    a = build_similarity(ps)
-    b = build_similarity(ps[::-1])
-    assert np.array_equal(a.psi, b.psi)
-    assert np.array_equal(a.psi, a.psi.T)
-    counts = a.psi * a.N
+    a = all_rows(ps)
+    b = all_rows(ps[::-1])
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, a.T)
+    counts = a * len(ps)
     assert np.allclose(counts, np.round(counts))
 
 
 def test_scatter_excluded_from_psi():
-    sim = build_similarity(parts([0, 1, 1, 2], [1, 1, 2, 0]))
-    assert sim.indices.tolist() == [1, 2]
-    assert sim.psi.shape == (2, 2)
+    # observations 1 and 2 are the only ones scatter in no partition
+    ps = parts([0, 1, 1, 2], [1, 1, 2, 0])
+    est = estimate_kstar(ps, B=3, subsample=2)
+    assert est.per_replicate == [count_groups(co_association(ps, np.array([1, 2])))] * 3
+    with pytest.raises(ValueError, match="2 core"):
+        estimate_kstar(ps, B=1, subsample=3)
 
 
 def test_estimate_two_blocks():
     labels = [1] * 5 + [2] * 5
-    sim = build_similarity(parts(labels, labels, labels))
-    assert estimate_kstar_once(sim) == 2
+    assert count_groups(all_rows(parts(labels, labels, labels))) == 2
 
 
 def test_estimate_all_ones_gives_one():
-    sim = SimilarityMatrix(np.ones((6, 6)), 4, np.arange(6))
-    assert estimate_kstar_once(sim) == 1
+    assert count_groups(np.ones((6, 6))) == 1
 
 
 def test_blocks_fuse_above_threshold():
@@ -95,16 +92,14 @@ def test_blocks_fuse_above_threshold():
     psi = np.full((9, 9), 0.6)
     for b in range(3):
         psi[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = 1.0
-    sim = SimilarityMatrix(psi, 10, np.arange(9))
-    assert estimate_kstar_once(sim) == 1
+    assert count_groups(psi) == 1
 
 
 def test_blocks_separate_below_threshold():
     psi = np.full((9, 9), 0.3)
     for b in range(3):
         psi[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = 1.0
-    sim = SimilarityMatrix(psi, 10, np.arange(9))
-    assert estimate_kstar_once(sim) == 3
+    assert count_groups(psi) == 3
 
 
 def test_exact_k_recovery_for_pure_ensembles():
@@ -112,10 +107,9 @@ def test_exact_k_recovery_for_pure_ensembles():
     for k in (2, 3, 5):
         labels = rng.integers(1, k + 1, size=40)
         labels[:k] = np.arange(1, k + 1)
-        ps = parts(*[labels] * 7)
-        sim = build_similarity(ps)
+        psi = all_rows(parts(*[labels] * 7))
         for threshold in (0.2, 0.5, 0.8):
-            assert estimate_kstar_once(sim, threshold=threshold) == k
+            assert count_groups(psi, threshold=threshold) == k
 
 
 def test_estimate_reorder_invariance_single_regime():
@@ -123,11 +117,9 @@ def test_estimate_reorder_invariance_single_regime():
     # graph components and is reorder-invariant even with tied entries
     rng = np.random.default_rng(2)
     labels = [rng.integers(1, 4, size=15) for _ in range(4)]
-    ps = parts(*labels)
-    k1 = estimate_kstar_once(build_similarity(ps))
+    k1 = count_groups(all_rows(parts(*labels)))
     perm = rng.permutation(15)
-    ps2 = parts(*[l[perm] for l in labels])
-    k2 = estimate_kstar_once(build_similarity(ps2))
+    k2 = count_groups(all_rows(parts(*[l[perm] for l in labels])))
     assert k1 == k2
 
 
@@ -138,11 +130,9 @@ def test_estimate_reorder_invariance_complete_regime():
     base = rng.uniform(0.55, 1.0, size=(m, m))
     psi = (base + base.T) / 2
     np.fill_diagonal(psi, 1.0)
-    sim = SimilarityMatrix(psi, 100, np.arange(m))
-    k1 = estimate_kstar_once(sim)
+    k1 = count_groups(psi)
     perm = rng.permutation(m)
-    sim2 = SimilarityMatrix(psi[np.ix_(perm, perm)], 100, np.arange(m))
-    assert estimate_kstar_once(sim2) == k1
+    assert count_groups(psi[np.ix_(perm, perm)]) == k1
 
 
 def test_estimate_kstar_replicates():
@@ -216,10 +206,13 @@ def test_select_best_relabel_invariance():
 
 
 def test_argument_errors():
-    with pytest.raises(ValueError):
-        build_similarity([])
+    with pytest.raises(ValueError, match="partition"):
+        estimate_kstar([], B=1, subsample=2)
     labels = [1] * 5 + [2] * 5
     with pytest.raises(ValueError):
-        estimate_kstar(parts(labels, labels), B=0)
+        estimate_kstar(parts(labels, labels), B=0, subsample=5)
     with pytest.raises(ValueError):
         estimate_kstar(parts(labels, labels), B=2, subsample=99)
+    for threshold in (1.5, 0.0, 1.0):
+        with pytest.raises(ValueError, match="threshold"):
+            estimate_kstar(parts(labels, labels), B=1, subsample=5, threshold=threshold)

@@ -2,6 +2,7 @@
 against closed forms and the Monte-Carlo quadratic-form oracle."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,37 +12,90 @@ from kmh.core import DataMatrix
 from kmh.gaussdist import (
     EQUAL_VAR_RTOL,
     SERIES_LIMIT,
-    QuadFormSpec,
     SphericalCluster,
     cluster_distance,
     entity_distance_matrix,
     fit_entity,
-    mahalanobis_sq,
     misclass_prob,
     noncentral_chisq_cdf,
-    quadform_from_spherical,
-    theorem1_mc_cdf,
     variance_floor,
 )
+
+_MC_CHUNK = 250_000
 
 
 def sph(mean, sigma2, size=10):
     return SphericalCluster(np.asarray(mean, dtype=float), sigma2, size)
 
 
-class TestMahalanobis:
-    def test_zero_at_center(self):
-        assert mahalanobis_sq([1.0, 2.0], sph([1, 2], 3.0)) == 0.0
+@dataclass(frozen=True)
+class QuadFormSpec:
+    """Eigenvalues and shifted-mean coefficients of the quadratic form whose
+    law gives the misclassification probability in the general case."""
 
-    def test_scaled_offset(self):
-        assert mahalanobis_sq([3.0, 1.0], sph([1, 1], 4.0)) == pytest.approx(1.0)
+    lambdas: np.ndarray
+    deltas: np.ndarray
 
-    def test_pythagorean(self):
-        assert mahalanobis_sq([3.0, 4.0], sph([0, 0], 1.0)) == pytest.approx(25.0)
+    def __post_init__(self):
+        lambdas = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
+        deltas = np.atleast_1d(np.asarray(self.deltas, dtype=float))
+        if lambdas.shape != deltas.shape or lambdas.ndim != 1:
+            raise ValueError("lambdas and deltas must be vectors of equal length")
+        if np.any(lambdas <= 0):
+            raise ValueError("all lambdas must be > 0")
+        object.__setattr__(self, "lambdas", lambdas)
+        object.__setattr__(self, "deltas", deltas)
 
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError):
-            mahalanobis_sq([0.0], SphericalCluster(np.zeros(1), 0.0, 1))
+
+def quadform_from_spherical(
+    from_cluster: SphericalCluster, into_cluster: SphericalCluster
+) -> QuadFormSpec:
+    """Quadratic-form coefficients for a pair of spherical entities: all
+    eigenvalues equal the variance ratio, deltas are the scaled mean gap."""
+    l, j = from_cluster, into_cluster
+    if l.p != j.p:
+        raise ValueError(f"dimension mismatch: {l.p} vs {j.p}")
+    lambdas = np.full(l.p, l.sigma2 / j.sigma2)
+    deltas = (l.mean - j.mean) / np.sqrt(l.sigma2)
+    return QuadFormSpec(lambdas, deltas)
+
+
+def theorem1_mc_cdf(spec: QuadFormSpec, x: float, draws: int, seed: int = 0) -> float:
+    """Monte-Carlo CDF of the quadratic-form law at x.
+
+    Samples the representation sum_i [(lam_i - 1) U_i - lam_i d_i^2/(lam_i - 1)]
+    over the lam_i != 1 coordinates (U_i noncentral chi-square, 1 df) plus
+    sum_i d_i (2 Z_i + d_i) over the lam_i = 1 ones. Draws landing exactly
+    on x count half, so atoms are scored by the continuity convention.
+    """
+    if draws < 10_000:
+        raise ValueError("draws must be >= 10000")
+    lam, delta = spec.lambdas, spec.deltas
+    ne = lam != 1.0
+    eq = ~ne
+    lam_ne, delta_ne = lam[ne], delta[ne]
+    delta_eq = delta[eq]
+    shift = float((-lam_ne * delta_ne**2 / (lam_ne - 1.0)).sum())
+    root_ncp = np.abs(lam_ne * delta_ne / (lam_ne - 1.0))
+
+    rng = np.random.default_rng(seed)
+    below = 0.0
+    at = 0.0
+    remaining = draws
+    while remaining > 0:
+        m = min(_MC_CHUNK, remaining)
+        remaining -= m
+        y = np.full(m, shift)
+        if lam_ne.size:
+            z = rng.standard_normal((m, lam_ne.size))
+            u = (z + root_ncp) ** 2
+            y += u @ (lam_ne - 1.0)
+        if delta_eq.size:
+            z = rng.standard_normal((m, delta_eq.size))
+            y += (2.0 * z + delta_eq) @ delta_eq
+        below += np.count_nonzero(y < x)
+        at += np.count_nonzero(y == x)
+    return float((below + 0.5 * at) / draws)
 
 
 class TestNoncentralChisq:

@@ -121,13 +121,6 @@ def test_change_points_tiny_trace():
     assert report.cps.size == 0 and report.candidate_kstars == []
 
 
-def test_alt_mapping_offset():
-    trace, _ = single_linkage(random_distance_matrix(np.random.default_rng(2), 4))
-    merges = [(m[0], m[1], h) for m, h in zip(trace.merges, [0.1, 0.15, 0.6])]
-    fake = type(trace)(tuple(merges), 4)
-    assert change_points(fake, L=1, alt_mapping=True).candidate_kstars == [3]
-
-
 def test_cut_identity_at_k0():
     rng = np.random.default_rng(3)
     d = random_distance_matrix(rng, 5)

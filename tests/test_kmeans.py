@@ -115,19 +115,6 @@ def test_empty_cluster_repair_keeps_k():
         assert np.bincount(res.partition.labels, minlength=5)[1:].min() >= 1
 
 
-def test_permutation_equivariance_maximin():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(50, 2))
-    perm = rng.permutation(50)
-    a = lloyd(DataMatrix(x), 4, init="maximin")
-    b = lloyd(DataMatrix(x[perm]), 4, init="maximin")
-    # same grouping structure: co-membership matrices agree under the permutation
-    la, lb = a.partition.labels, b.partition.labels
-    same_a = la[perm][:, None] == la[perm][None, :]
-    same_b = lb[:, None] == lb[None, :]
-    assert np.array_equal(same_a, same_b)
-
-
 def test_krzanowski_formula_example():
     trace, cand = krzanowski_from_traces([1, 2, 3, 4], [100.0, 20, 18, 17], p=2, M=2)
     assert np.allclose(trace.diffs, [60.0, -14.0, -14.0])

@@ -85,6 +85,11 @@ def test_duplicate_heavy_input_caps_default_g():
         (KmhConfig(threshold=0.0), "threshold"),
         (KmhConfig(threads=0), "threads"),
         (KmhConfig(kstar_known=4), "kstar"),
+        (KmhConfig(subsample=1), "subsample"),
+        (KmhConfig(subsample=0), "subsample"),
+        (KmhConfig(scatter_frac=1.5), "scatter_frac"),
+        (KmhConfig(scatter_frac=-0.1), "scatter_frac"),
+        (KmhConfig(seed=-1), "seed"),
     ],
 )
 def test_bad_config_fails_before_clustering(config, message):
