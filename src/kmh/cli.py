@@ -13,6 +13,7 @@ import time
 import numpy as np
 import scipy
 from scipy.cluster.hierarchy import leaves_list, linkage
+from scipy.spatial.distance import squareform
 
 from . import __version__
 from .core import DataMatrix, Partition, adjusted_rand_index
@@ -93,10 +94,12 @@ def write_labels(path: str, partition: Partition) -> None:
 
 
 def write_similarity(path: str, sim: SimilarityMatrix) -> None:
-    header = "obs," + ",".join(str(int(i)) for i in sim.indices)
-    lines = [header]
-    for i, row in zip(sim.indices, sim.psi):
-        lines.append(f"{int(i)}," + ",".join(FLOAT_FMT % v for v in row))
+    # psi = count/N holds few distinct values (never -0.0): format each once
+    values, inverse = np.unique(sim.psi, return_inverse=True)
+    table = np.array([FLOAT_FMT % v for v in values], dtype=object)
+    cells = table[inverse.reshape(sim.psi.shape)]
+    lines = ["obs," + ",".join(str(int(i)) for i in sim.indices)]
+    lines += [f"{int(i)}," + ",".join(row) for i, row in zip(sim.indices, cells.tolist())]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -105,8 +108,8 @@ def heatmap_order(sim: SimilarityMatrix) -> np.ndarray:
     m = sim.psi.shape[0]
     if m < 3:
         return np.arange(m)
-    rows, cols = np.triu_indices(m, 1)
-    return np.asarray(leaves_list(linkage(1.0 - sim.psi[rows, cols], method="single")))
+    off = squareform(sim.psi, checks=False)
+    return np.asarray(leaves_list(linkage(1.0 - off, method="single")))
 
 
 def write_heatmap(sim: SimilarityMatrix, path: str, order_path: str | None = None) -> np.ndarray:
@@ -116,8 +119,9 @@ def write_heatmap(sim: SimilarityMatrix, path: str, order_path: str | None = Non
     psi = sim.psi[np.ix_(order, order)]
     pixels = np.round(255.0 * psi).astype(int)
     m = pixels.shape[0]
+    levels = np.array([str(v) for v in range(256)], dtype=object)
     lines = ["P2", f"{m} {m}", "255"]
-    lines += [" ".join(str(v) for v in row) for row in pixels]
+    lines += [" ".join(row) for row in levels[pixels].tolist()]
     _atomic_write(path, "\n".join(lines) + "\n")
     if order_path is not None:
         rows = ["position,observation"]
@@ -218,8 +222,8 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
-    os.makedirs(args.output_dir, exist_ok=True)
     report = run_kmh(data, config)
+    os.makedirs(args.output_dir, exist_ok=True)
     payload = _report_payload(report, truth)
 
     paths = {

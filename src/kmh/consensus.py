@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import squareform
 
 from ._rng import Seed, generator
 from .core import SCATTER_LABEL, adjusted_rand_index
@@ -76,11 +77,9 @@ def count_groups(
     small (mean below mean_cut) or uncertain (coefficient of variation
     above cv_cut), complete otherwise.
     """
-    m = psi.shape[0]
-    if m < 2:
+    if psi.shape[0] < 2:
         raise ValueError("need at least 2 observations")
-    rows, cols = np.triu_indices(m, 1)
-    off = psi[rows, cols]
+    off = squareform(psi, checks=False)
     mean = float(off.mean())
     cv = np.inf if mean == 0 else float(off.std() / mean)
     # weak or uncertain co-association: chain cautiously with single linkage
@@ -105,7 +104,9 @@ def estimate_kstar(
     Each replicate samples `subsample` core observations (scatter in no
     partition) uniformly without replacement, builds the co-association
     matrix on the subset, and counts groups. Reports every estimate, the
-    frequency of each value, and their lower median.
+    frequency of each value, and their lower median. When `subsample` is the
+    whole core set every sorted draw is that set, so one replicate is
+    computed and repeated B times.
     """
     if not partitions:
         raise ValueError("need at least one partition")
@@ -117,12 +118,16 @@ def estimate_kstar(
     if subsample > core.size:
         raise ValueError(f"subsample={subsample} exceeds {core.size} core observations")
 
-    rng = generator(seed)
-    estimates = []
-    for _ in range(B):
-        chosen = np.sort(rng.choice(core, size=subsample, replace=False))
-        psi = co_association(partitions, chosen)
-        estimates.append(count_groups(psi, threshold, mean_cut, cv_cut))
+    if subsample == core.size:
+        psi = co_association(partitions, core)
+        estimates = [count_groups(psi, threshold, mean_cut, cv_cut)] * B
+    else:
+        rng = generator(seed)
+        estimates = []
+        for _ in range(B):
+            chosen = np.sort(rng.choice(core, size=subsample, replace=False))
+            psi = co_association(partitions, chosen)
+            estimates.append(count_groups(psi, threshold, mean_cut, cv_cut))
 
     ordered = sorted(estimates)
     median = ordered[(B - 1) // 2]

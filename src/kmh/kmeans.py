@@ -54,8 +54,12 @@ def _init_macqueen(
 
 
 def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against roundoff
-    d2 = x_sq[:, None] - 2.0 * (x @ centers.T) + (centers**2).sum(axis=1)[None, :]
+    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against roundoff,
+    # evaluated in that order inside the one n x K buffer
+    d2 = x @ centers.T
+    np.multiply(2.0, d2, out=d2)
+    np.subtract(x_sq[:, None], d2, out=d2)
+    np.add(d2, (centers**2).sum(axis=1), out=d2)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -70,7 +74,8 @@ def lloyd(
     until no label changes (or the sweep cap).
 
     Empty clusters are repaired by reseeding them at the observation
-    farthest from its currently assigned center, keeping K fixed.
+    farthest from its currently assigned center among clusters that keep a
+    member without it, keeping K fixed.
     """
     x = data.values
     n, p = data.n, data.p
@@ -97,12 +102,14 @@ def lloyd(
         counts = np.bincount(new_labels, minlength=K)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            own_d2 = d2[np.arange(n), new_labels].copy()
+            own_d2 = d2[np.arange(n), new_labels]
             for k in empty:
-                far = int(np.argmax(own_d2))
+                # a sole member stays put, or its cluster would empty in turn
+                donor = counts[new_labels] >= 2
+                far = int(np.argmax(np.where(donor, own_d2, -1.0)))
+                counts[new_labels[far]] -= 1
+                counts[k] += 1
                 new_labels[far] = k
-                own_d2[far] = -1.0  # taken; next empty cluster picks elsewhere
-            counts = np.bincount(new_labels, minlength=K)
 
         changed = not np.array_equal(new_labels, labels)
         labels = new_labels

@@ -37,20 +37,23 @@ def remove_scatter(
     """Run G-means and drop observations in clusters smaller than frac*n.
 
     The size test is strict (< frac*n), so with frac=0.001 nothing is
-    removed below n=1001 and singletons go first at n=2000.
+    removed below n=1001 and singletons go first at n=2000. When
+    frac*n <= 1 no group can be that small, so the G-means run is skipped
+    and every row is core.
     """
-    if not (2 <= G <= data.n):
-        raise ValueError(f"G={G} out of range for n={data.n}")
+    if not (2 <= G <= data.n_distinct):
+        raise ValueError(f"G={G} out of range for {data.n_distinct} distinct rows")
     if not (0.0 <= frac < 1.0):
         raise ValueError(f"frac={frac} must be in [0, 1)")
+    threshold = frac * data.n
+    idx = np.arange(data.n)
+    if threshold <= 1.0:
+        return ScatterResult(idx, idx[:0])
     if starts is None:
         starts = default_scatter_starts(data.n, data.p)
 
-    result = best_of(data, G, starts=starts, seed=seed)
-    labels = result.partition.labels
+    labels = best_of(data, G, starts=starts, seed=seed).partition.labels
     sizes = np.bincount(labels, minlength=G + 1)
-    threshold = frac * data.n
     small = np.flatnonzero(sizes < threshold)
     is_scatter = np.isin(labels, small)
-    idx = np.arange(data.n)
     return ScatterResult(idx[~is_scatter], idx[is_scatter])

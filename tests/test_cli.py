@@ -1,13 +1,25 @@
 """`kmh run` end to end through `cli.main`: the artifact set, exit codes for
 bad input, and the defaults it shares with the library."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import leaves_list, linkage
 
-from kmh.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, config_from_args, main
-from kmh.consensus import DEFAULT_CV_CUT, DEFAULT_MEAN_CUT
+from kmh.cli import (
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    FLOAT_FMT,
+    build_parser,
+    config_from_args,
+    main,
+    write_heatmap,
+    write_similarity,
+)
+from kmh.consensus import DEFAULT_CV_CUT, DEFAULT_MEAN_CUT, SimilarityMatrix
 from kmh.pipeline import KmhConfig
 
 ARTIFACTS = [
@@ -46,6 +58,62 @@ def test_run_writes_artifacts(bullseye_csv, tmp_path, capsys):
     assert labels.shape == (90, 2)
     assert np.array_equal(labels[:, 0], np.arange(90))
     assert "ARI vs truth" in capsys.readouterr().out
+
+
+# SHA-256 of the artifacts of `kmh run` on gen_bullseye(seed=0) with
+# --seed 0 --linkage-cutoffs 0.5,0.8 and the truth column, recorded with the
+# per-cell writers and the B-replicate consensus loop.
+ARTIFACT_GOLDEN = {
+    "labels.csv": "463963f3c429eaf22498823961d42bd915a78102dfce98a0d81053cb5e8af665",
+    "report.json": "f034c719edeb0da6cde8fc1a2abb5087acb1a7ef149e44650588a18b4308728e",
+    "similarity.csv": "054f5fc5227d6fbdaa2cb57e4d959522f132ac9f5696c7f5c4a9449a46c09b61",
+    "heatmap.pgm": "ef84079eaabd27d6791aa0eddba35413bf3568987ff37fb9367cc171abdea209",
+    "heatmap_order.csv": "3e741002600496b121f1fe716a86ac6e5c3744ff5484e99643bc29a8bc1abb3c",
+}
+
+
+def test_bullseye_artifacts_match_golden(tmp_path):
+    path, out = tmp_path / "bullseye.csv", tmp_path / "out"
+    gen = ["gen", "bullseye", "--n-core", "60", "--n-ring", "340", "--seed", "0"]
+    assert main(gen + ["--out", str(path)]) == EXIT_OK
+    argv = ["run", "--input", str(path), "--output-dir", str(out), "--truth-col", "2"]
+    assert main(argv + ["--seed", "0", "--linkage-cutoffs", "0.5,0.8"]) == EXIT_OK
+    for name, digest in ARTIFACT_GOLDEN.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def random_similarity(m: int = 60, N: int = 97, seed: int = 0) -> SimilarityMatrix:
+    """Symmetric psi of random counts/N, unit diagonal: up to N+1 distinct values."""
+    counts = np.triu(np.random.default_rng(seed).integers(0, N + 1, size=(m, m)), 1)
+    counts = counts + counts.T + N * np.eye(m, dtype=np.int64)
+    return SimilarityMatrix(counts / N, np.arange(m) * 3 + 1)
+
+
+def per_cell_similarity(sim: SimilarityMatrix) -> str:
+    lines = ["obs," + ",".join(str(int(i)) for i in sim.indices)]
+    for i, row in zip(sim.indices, sim.psi):
+        lines.append(f"{int(i)}," + ",".join(FLOAT_FMT % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_heatmap(sim: SimilarityMatrix) -> tuple:
+    m = sim.psi.shape[0]
+    rows, cols = np.triu_indices(m, 1)
+    order = leaves_list(linkage(1.0 - sim.psi[rows, cols], method="single"))
+    pixels = np.round(255.0 * sim.psi[np.ix_(order, order)]).astype(int)
+    lines = ["P2", f"{m} {m}", "255"] + [" ".join(str(v) for v in row) for row in pixels]
+    return order, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_writers_match_per_cell_formatting(tmp_path, seed):
+    sim = random_similarity(seed=seed)
+    assert np.unique(sim.psi).size > 90
+    write_similarity(str(tmp_path / "sim.csv"), sim)
+    assert (tmp_path / "sim.csv").read_text() == per_cell_similarity(sim)
+    order, pgm = per_cell_heatmap(sim)
+    assert np.array_equal(write_heatmap(sim, str(tmp_path / "map.pgm")), order)
+    assert (tmp_path / "map.pgm").read_text() == pgm
 
 
 @pytest.fixture
@@ -93,6 +161,7 @@ def test_pipeline_failure_exits_1(bullseye_csv, tmp_path, capsys):
     argv = ["run", "--input", str(bullseye_csv), "--output-dir", str(tmp_path / "out")]
     assert main(argv + ["--truth-col", "2", "--scatter-frac", "0.9"]) == EXIT_INTERNAL
     assert "fewer than 2 observations remain" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def two_blobs_p1() -> np.ndarray:

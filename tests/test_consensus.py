@@ -151,6 +151,38 @@ def test_estimate_kstar_single_full_replicate():
     assert est.median_kstar == 2
 
 
+def replicate_loop(partitions, B, subsample, seed):
+    """estimate_kstar's per-replicate votes drawn one replicate at a time."""
+    mask = np.logical_and.reduce([part.labels != 0 for part in partitions])
+    core = np.flatnonzero(mask)
+    rng = np.random.default_rng(seed)
+    return [
+        count_groups(co_association(partitions, np.sort(rng.choice(core, subsample, replace=False))))
+        for _ in range(B)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_estimate_kstar_whole_core_equals_replicate_loop(seed):
+    # noisy 3-block ensemble with scatter rows, so replicates could disagree
+    rng = np.random.default_rng(seed)
+    truth = np.repeat([1, 2, 3], 15)
+    labels = []
+    for _ in range(6):
+        noisy = np.where(rng.random(45) < 0.2, rng.integers(1, 4, size=45), truth)
+        noisy[rng.choice(45, size=2, replace=False)] = 0
+        labels.append(noisy)
+    ps = [Partition.from_labels(l) for l in labels]
+    core_size = int(np.logical_and.reduce([l != 0 for l in labels]).sum())
+    for subsample in (core_size, core_size - 5):
+        want = replicate_loop(ps, 7, subsample, seed)
+        est = estimate_kstar(ps, B=7, subsample=subsample, seed=seed)
+        assert est.per_replicate == want
+        assert est.median_kstar == sorted(want)[3]
+        values, counts = np.unique(want, return_counts=True)
+        assert est.frequencies == {int(v): c / 7 for v, c in zip(values, counts)}
+
+
 def test_lower_median_convention():
     labels = [1] * 40 + [2] * 40
     noisy = list(labels)

@@ -1,8 +1,12 @@
-"""Import rules of the `kmh` package: every import sits at module level, and
-no module imports another module's `_private` names."""
+"""Import rules of the `kmh` package: every import sits at module level, no
+module imports another module's `_private` names, and importing the CLI
+loads nothing beyond numpy, scipy and the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kmh"
 
@@ -36,3 +40,41 @@ def test_import_rules():
         tree = ast.parse(path.read_text())
         assert function_imports(tree) == [], path.name
         assert private_imports(tree) == [], path.name
+
+
+def numpy_scipy_imports() -> list:
+    """The numpy and scipy modules named by import statements in src/kmh."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+    return sorted(name for name in names if name.split(".")[0] in ("numpy", "scipy"))
+
+
+def top_level_modules_loaded_by(statement: str) -> set:
+    code = (
+        f"import sys; before = set(sys.modules); {statement}; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return {name.split(".")[0] for name in run.stdout.split()}
+
+
+def test_cli_import_loads_only_numpy_scipy_and_stdlib():
+    loaded = top_level_modules_loaded_by("import kmh.cli")
+    assert {"kmh", "numpy", "scipy"} <= loaded
+    foreign = loaded - {"kmh", "numpy", "scipy"} - set(sys.stdlib_module_names)
+    # helpers numpy and scipy load themselves (Cython runtime, optional
+    # codecs) come with them whoever imports them
+    foreign -= top_level_modules_loaded_by("import " + ", ".join(numpy_scipy_imports()))
+    assert sorted(foreign) == []

@@ -1,10 +1,12 @@
 """Lloyd iterations, multi-start behavior, and the Diff-ratio criterion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from kmh.core import DataMatrix
-from kmh.kmeans import _init_macqueen, best_of, krzanowski_candidates, krzanowski_from_traces, lloyd
+from kmh.kmeans import _init_macqueen, _sq_distances, best_of, krzanowski_candidates, krzanowski_from_traces, lloyd
 
 
 def wgss_direct(data, result):
@@ -113,6 +115,34 @@ def test_empty_cluster_repair_keeps_k():
         res = lloyd(data, 4, seed=seed)
         assert res.partition.K == 4
         assert np.bincount(res.partition.labels, minlength=5)[1:].min() >= 1
+
+
+def test_repair_never_takes_a_sole_member():
+    # draw 1856 of this generator: the farthest point sits alone in its
+    # cluster, and moving it used to empty that cluster (0/0 centre)
+    rng = np.random.default_rng(0)
+    for draw in range(1857):
+        n, p = rng.integers(6, 40), rng.integers(1, 3)
+        x = rng.standard_normal((n, p)) * rng.choice([1, 5, 50], size=(n, 1))
+        K = int(rng.integers(3, min(n, 10) + 1))
+    assert (n, p, K) == (24, 2, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = lloyd(DataMatrix(x), K, seed=1856)
+    assert np.isfinite(res.centers).all()
+    assert res.partition.K == K
+    assert np.bincount(res.partition.labels, minlength=K + 1)[1:].min() >= 1
+
+
+def test_sq_distances_match_broadcast_expression():
+    rng = np.random.default_rng(7)
+    for n, p, K in [(50, 1, 3), (200, 5, 12), (31, 3, 31)]:
+        x = rng.standard_normal((n, p)) * 10.0
+        centers = rng.standard_normal((K, p))
+        x_sq = (x**2).sum(axis=1)
+        want = x_sq[:, None] - 2.0 * (x @ centers.T) + (centers**2).sum(axis=1)[None, :]
+        np.maximum(want, 0.0, out=want)
+        assert _sq_distances(x, x_sq, centers).tobytes() == want.tobytes()
 
 
 def test_krzanowski_formula_example():

@@ -42,6 +42,20 @@ GOLDEN = {
     ),
 }
 
+# SHA-256 of the consensus votes of the same runs: per_replicate (int64) and
+# the sorted (K*, frequency) pairs of frequencies (float64), recorded with the
+# replicate loop that ran every one of the B replicates.
+KSTAR_GOLDEN = {
+    "bullseye": (
+        "774307caca61d9060eedf70049a7b7ec58696a82b3706eff619cbf90695dcdd2",
+        "9268b051ba6a96aea257eeb250cd5b236571933b55ff8fde1d3e3370b4cb243b",
+    ),
+    "blobs-dup": (
+        "c4ca372e7480446eccbfd4f45f0633d1dda967f35513078c23e447d86b1ce5f2",
+        "f0b05ec6449ff0bc3aa9fe2e81929f881639d34e6e84351b1a220162c548cb4c",
+    ),
+}
+
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -51,6 +65,11 @@ def test_seeded_run_matches_golden(name, threads):
     assert report.chosen_kstar == kstar
     assert sha256(report.final_partition.labels, "<i8") == labels_sha
     assert sha256(report.similarity.psi, "<f8") == psi_sha
+    votes = report.kstar_estimate
+    per_replicate_sha, frequencies_sha = KSTAR_GOLDEN[name]
+    assert len(votes.per_replicate) == 100
+    assert sha256(np.asarray(votes.per_replicate), "<i8") == per_replicate_sha
+    assert sha256(np.array(sorted(votes.frequencies.items())), "<f8") == frequencies_sha
 
 
 def three_values() -> DataMatrix:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kmh.scatter
 from kmh.core import DataMatrix
 from kmh.scatter import default_scatter_starts, remove_scatter
 
@@ -14,6 +15,20 @@ def test_threshold_below_one_removes_nothing():
     # 0.1% of 400 = 0.4 < 1, so every nonempty cluster survives
     assert res.scatter_indices.size == 0
     assert res.n_star == 400
+
+
+def test_no_gmeans_run_when_nothing_can_go(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("best_of called")
+
+    monkeypatch.setattr(kmh.scatter, "best_of", refuse)
+    data = DataMatrix(np.random.default_rng(0).normal(size=(400, 2)))
+    for frac in (0.0, 0.001, 1 / 400):
+        res = remove_scatter(data, G=10, frac=frac, seed=1)
+        assert np.array_equal(res.core_indices, np.arange(400))
+        assert res.scatter_indices.size == 0
+    with pytest.raises(AssertionError, match="best_of called"):
+        remove_scatter(data, G=10, frac=0.003, seed=1)
 
 
 def test_singletons_removed_at_n2000_threshold():
@@ -59,6 +74,10 @@ def test_bad_arguments():
         remove_scatter(data, G=30)
     with pytest.raises(ValueError):
         remove_scatter(data, G=3, frac=1.0)
+    # more groups than distinct rows is rejected even where no G-means runs
+    three_rows = DataMatrix(np.repeat(np.eye(3), 5, axis=0))
+    with pytest.raises(ValueError, match="3 distinct rows"):
+        remove_scatter(three_rows, G=4, frac=0.001)
 
 
 def test_default_starts_capped():
