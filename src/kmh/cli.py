@@ -77,7 +77,7 @@ def read_csv(path: str, truth_col: int | None = None):
         raw = values[:, truth_col]
         if not np.allclose(raw, np.round(raw)) or raw.min() < 0:
             raise InputError("truth column must hold nonnegative integer labels")
-        truth = Partition.from_labels(raw.astype(np.int64))
+        truth = Partition.from_labels(np.round(raw).astype(np.int64))
         values = np.delete(values, truth_col, axis=1)
     if values.shape[1] < 1:
         raise InputError("no feature columns remain")
@@ -133,7 +133,7 @@ def write_heatmap(sim: SimilarityMatrix, path: str, order_path: str | None = Non
 def _report_payload(report, truth: Partition | None) -> dict:
     krz = report.krz_trace
     payload = {
-        "schema_version": 2,
+        "schema_version": 3,
         "config": dataclasses.asdict(report.config_resolved),
         "n": report.final_partition.n,
         "n_star": report.scatter.n_star,
@@ -277,24 +277,27 @@ def _write_dataset_csv(path: str, dataset) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.shape == "bullseye":
-        ds = gen_bullseye(
-            n_core=args.n_core, n_ring=args.n_ring, noise_sd=args.noise_sd, seed=args.seed
-        )
-    elif args.shape == "banana-spheres":
-        ds = gen_banana_spheres(
-            n_banana=args.n_banana,
-            n_ring=args.n_ring_outer,
-            n_outliers=args.n_outliers,
-            seed=args.seed,
-        )
-    else:  # "blobs", the only other shape argparse admits
-        centers = [[float(v) for v in c.split(",")] for c in args.centers.split(";")]
-        sizes = [int(s) for s in args.sizes.split(",")]
-        ds = gen_gaussian_blobs(centers, sizes, sigma=args.sigma, seed=args.seed)
+    """Call the shape's generator with only the options given on the
+    command line, so every other one keeps the generator's default."""
+    own = ("command", "shape", "func", "generator", "out")
+    try:
+        ds = args.generator(**{k: v for k, v in vars(args).items() if k not in own})
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     _write_dataset_csv(args.out, ds)
     print(f"{ds.descriptor} -> {args.out} ({ds.data.n} rows, truth in last column)")
     return EXIT_OK
+
+
+def _centers(text: str) -> list:
+    centers = [[float(v) for v in point.split(",")] for point in text.split(";")]
+    if len({len(c) for c in centers}) != 1:
+        raise argparse.ArgumentTypeError(f"centres of unequal dimension in {text!r}")
+    return centers
+
+
+def _sizes(text: str) -> list:
+    return [int(s) for s in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,30 +333,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a benchmark dataset CSV")
     gen_sub = gen.add_subparsers(dest="shape", required=True)
+    shapes = {}
+    for shape, generator in [
+        ("bullseye", gen_bullseye),
+        ("banana-spheres", gen_banana_spheres),
+        ("blobs", gen_gaussian_blobs),
+    ]:
+        # an option left out is not passed, so the generator's default holds
+        shapes[shape] = gen_sub.add_parser(shape, argument_default=argparse.SUPPRESS)
+        shapes[shape].add_argument("--seed", type=int)
+        shapes[shape].add_argument("--out", default=shape.replace("-", "_") + ".csv")
+        shapes[shape].set_defaults(func=cmd_gen, generator=generator)
 
-    bull = gen_sub.add_parser("bullseye")
-    bull.add_argument("--n-core", type=int, default=100)
-    bull.add_argument("--n-ring", type=int, default=300)
-    bull.add_argument("--noise-sd", type=float, default=0.9)
-    bull.add_argument("--seed", type=int, default=0)
-    bull.add_argument("--out", default="bullseye.csv")
-    bull.set_defaults(func=cmd_gen)
+    shapes["bullseye"].add_argument("--n-core", type=int)
+    shapes["bullseye"].add_argument("--n-ring", type=int)
+    shapes["bullseye"].add_argument("--noise-sd", type=float)
 
-    ban = gen_sub.add_parser("banana-spheres")
-    ban.add_argument("--n-banana", type=int, default=735)
-    ban.add_argument("--n-ring-outer", type=int, default=1500)
-    ban.add_argument("--n-outliers", type=int, default=45)
-    ban.add_argument("--seed", type=int, default=0)
-    ban.add_argument("--out", default="banana_spheres.csv")
-    ban.set_defaults(func=cmd_gen)
+    shapes["banana-spheres"].add_argument("--n-banana", type=int)
+    shapes["banana-spheres"].add_argument("--n-ring-outer", type=int, dest="n_ring")
+    shapes["banana-spheres"].add_argument("--n-outliers", type=int)
 
-    blobs = gen_sub.add_parser("blobs")
-    blobs.add_argument("--centers", default="0,0;10,0;5,8.66", help="x,y;x,y;...")
-    blobs.add_argument("--sizes", default="100,100,100")
-    blobs.add_argument("--sigma", type=float, default=1.0)
-    blobs.add_argument("--seed", type=int, default=0)
-    blobs.add_argument("--out", default="blobs.csv")
-    blobs.set_defaults(func=cmd_gen)
+    # gen_gaussian_blobs has no default layout, so the CLI keeps one
+    shapes["blobs"].add_argument(
+        "--centers", type=_centers, default="0,0;10,0;5,8.66", help="x,y;x,y;..."
+    )
+    shapes["blobs"].add_argument("--sizes", type=_sizes, default="100,100,100")
+    shapes["blobs"].add_argument("--sigma", type=float)
 
     return parser
 

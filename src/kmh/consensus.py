@@ -95,11 +95,10 @@ def estimate_kstar(
     B: int,
     subsample: int,
     seed: Seed = 0,
-    threshold: float = DEFAULT_THRESHOLD,
     mean_cut: float = DEFAULT_MEAN_CUT,
     cv_cut: float = DEFAULT_CV_CUT,
 ) -> KStarEstimate:
-    """Replicate the threshold estimate B times on random observation subsets.
+    """Replicate `count_groups` B times on random observation subsets.
 
     Each replicate samples `subsample` core observations (scatter in no
     partition) uniformly without replacement, builds the co-association
@@ -112,22 +111,20 @@ def estimate_kstar(
         raise ValueError("need at least one partition")
     if B < 1:
         raise ValueError("B must be >= 1")
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must be in (0, 1)")
     core = _core_indices(partitions)
     if subsample > core.size:
         raise ValueError(f"subsample={subsample} exceeds {core.size} core observations")
 
     if subsample == core.size:
         psi = co_association(partitions, core)
-        estimates = [count_groups(psi, threshold, mean_cut, cv_cut)] * B
+        estimates = [count_groups(psi, mean_cut=mean_cut, cv_cut=cv_cut)] * B
     else:
         rng = generator(seed)
         estimates = []
         for _ in range(B):
             chosen = np.sort(rng.choice(core, size=subsample, replace=False))
             psi = co_association(partitions, chosen)
-            estimates.append(count_groups(psi, threshold, mean_cut, cv_cut))
+            estimates.append(count_groups(psi, mean_cut=mean_cut, cv_cut=cv_cut))
 
     ordered = sorted(estimates)
     median = ordered[(B - 1) // 2]

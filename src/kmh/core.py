@@ -83,10 +83,6 @@ class Partition:
     def n(self) -> int:
         return self.labels.size
 
-    @property
-    def has_scatter(self) -> bool:
-        return bool(np.any(self.labels == SCATTER_LABEL))
-
     @classmethod
     def from_labels(cls, labels) -> "Partition":
         """Build a partition from arbitrary nonnegative labels, renumbering ids to 1..K.
@@ -95,11 +91,11 @@ class Partition:
         0 passes through as scatter.
         """
         labels = np.asarray(labels, dtype=np.int64)
-        out = np.zeros_like(labels)
-        positive = np.unique(labels[labels > 0])
-        for new_id, old_id in enumerate(positive, start=1):
-            out[labels == old_id] = new_id
-        return cls(out)
+        ids, inverse = np.unique(labels, return_inverse=True)
+        if ids.size and ids[0] < 0:
+            raise ValueError("labels must be >= 0 (0 is the scatter id)")
+        # ids ascend, so rank 0 is the scatter id when it is present
+        return cls(inverse.reshape(labels.shape) + int(ids.size and ids[0] != 0))
 
 
 @dataclass(frozen=True)
@@ -123,47 +119,33 @@ class ContingencyTable:
         return int(self.counts.sum())
 
 
-def _joint_labels(p1: Partition, p2: Partition, scatter: str):
-    if p1.n != p2.n:
-        raise ValueError(f"partition lengths differ: {p1.n} vs {p2.n}")
-    if scatter not in ("include", "exclude"):
-        raise ValueError(f"scatter must be 'include' or 'exclude', got {scatter!r}")
-    l1, l2 = p1.labels, p2.labels
-    if scatter == "exclude":
-        keep = (l1 != SCATTER_LABEL) & (l2 != SCATTER_LABEL)
-        l1, l2 = l1[keep], l2[keep]
-    return l1, l2
-
-
-def contingency(p1: Partition, p2: Partition, scatter: str = "include") -> ContingencyTable:
+def contingency(p1: Partition, p2: Partition) -> ContingencyTable:
     """Cross-tabulate two partitions of the same observations.
 
     Rows index the groups of ``p1``, columns those of ``p2``, both in
-    ascending label order. With ``scatter="include"`` the reserved label 0
-    is counted as an ordinary group of its own.
+    ascending label order. The reserved label 0 is counted as an ordinary
+    group of its own.
     """
-    l1, l2 = _joint_labels(p1, p2, scatter)
-    rows, r_idx = np.unique(l1, return_inverse=True)
-    cols, c_idx = np.unique(l2, return_inverse=True)
-    counts = np.zeros((rows.size, cols.size), dtype=np.int64)
-    np.add.at(counts, (r_idx, c_idx), 1)
+    if p1.n != p2.n:
+        raise ValueError(f"partition lengths differ: {p1.n} vs {p2.n}")
+    rows, r_idx = np.unique(p1.labels, return_inverse=True)
+    cols, c_idx = np.unique(p2.labels, return_inverse=True)
+    cells = np.bincount(r_idx * cols.size + c_idx, minlength=rows.size * cols.size)
+    counts = cells.reshape(rows.size, cols.size)
     return ContingencyTable(_readonly(counts), _readonly(rows), _readonly(cols))
 
 
-def adjusted_rand_index(p1: Partition, p2: Partition, scatter: str = "include") -> float:
+def adjusted_rand_index(p1: Partition, p2: Partition) -> float:
     """Chance-corrected pairwise agreement between two partitions.
 
     Returns 1.0 iff the partitions are identical up to a relabeling of
-    cluster ids; around zero for independent partitions. ``scatter``
-    controls the reserved label 0: "include" treats it as one ordinary
-    group (default, so every observation contributes), "exclude" compares
-    only observations that are non-scatter in both partitions.
+    cluster ids; around zero for independent partitions. The reserved
+    label 0 counts as one ordinary group, so every observation contributes.
     """
-    l1, l2 = _joint_labels(p1, p2, scatter)
-    n = l1.size
+    table = contingency(p1, p2)
+    n = p1.n
     if n < 2:
-        raise ValueError("need at least 2 jointly-compared observations")
-    table = contingency(p1, p2, scatter=scatter)
+        raise ValueError("need at least 2 observations")
     # pairs counted in floating point via m(m-1)/2: exact for counts < 2^26
     def pairs(m):
         m = np.asarray(m, dtype=float)

@@ -100,7 +100,7 @@ def change_points(trace: MergeTrace, L: int) -> ChangePointReport:
     Gap k (between merges k and k+1) proposes keeping the K0 - k clusters
     present just before the later, bigger jump. The top L proposals are
     returned in descending gap order, ties toward the larger cluster
-    count, all clamped to >= 2.
+    count. Gaps run over k = 0..K0-3, so each proposal lies in [2, K0-1].
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -113,7 +113,7 @@ def change_points(trace: MergeTrace, L: int) -> ChangePointReport:
     heights = trace.heights
     cps = np.diff(heights)
     ranked = sorted(range(cps.size), key=lambda k: (-cps[k], -(K0 - (k + 1))))
-    kstars = [max(2, K0 - (k + 1)) for k in ranked[:L]]
+    kstars = [K0 - (k + 1) for k in ranked[:L]]
     return ChangePointReport(cps, kstars)
 
 

@@ -12,6 +12,8 @@ from ._rng import Seed, generator, spawn
 from .core import DataMatrix, Partition
 
 MAX_SWEEPS = 100
+# restarts behind each best-of K-means fit of the K0 search
+KMEANS_STARTS = 10
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def lloyd(
 def best_of(
     data: DataMatrix,
     K: int,
-    starts: int,
+    starts: int = KMEANS_STARTS,
     seed: Seed = 0,
 ) -> KMeansResult:
     """Best of `starts` independent runs by within-group sum of squares.
@@ -189,7 +191,7 @@ def krzanowski_candidates(
     data: DataMatrix,
     k_range,
     M: int,
-    starts: int = 10,
+    starts: int = KMEANS_STARTS,
     seed: Seed = 0,
     threads: int = 1,
 ):

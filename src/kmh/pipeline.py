@@ -14,7 +14,6 @@ from ._rng import generator, spawn
 from .consensus import (
     DEFAULT_CV_CUT,
     DEFAULT_MEAN_CUT,
-    DEFAULT_THRESHOLD,
     KStarEstimate,
     SimilarityMatrix,
     co_association,
@@ -25,7 +24,7 @@ from .core import SCATTER_LABEL, DataMatrix, Partition
 from .gaussdist import entity_distance_matrix, fit_entity, variance_floor
 from .hierarchy import ChangePointReport, MergeTrace, change_points, cut_to_partition, single_linkage
 from .kmeans import KrzanowskiTrace, best_of, krzanowski_candidates
-from .scatter import ScatterResult, default_scatter_starts, remove_scatter
+from .scatter import ScatterResult, remove_scatter
 
 
 # consensus replicates and the report psi use at most this many core rows
@@ -46,7 +45,13 @@ def default_g(n: int) -> int:
 
 @dataclass(frozen=True)
 class KmhConfig:
-    """All tunables; None fields resolve from the data at run time."""
+    """The tunables, one per `kmh run` flag; None fields resolve from the
+    data at run time.
+
+    What no flag sets is a constant of its module: the consensus cut
+    `consensus.DEFAULT_THRESHOLD`, the `kmeans.KMEANS_STARTS` restarts per
+    K of the K0 search, and the scatter run's `default_scatter_starts`.
+    """
 
     seed: int = 0
     M: int | None = None
@@ -54,10 +59,7 @@ class KmhConfig:
     B: int = 100
     G: int | None = None
     kstar_known: int | None = None
-    kmeans_starts: int = 10
-    scatter_starts: int | None = None
     scatter_frac: float = 0.001
-    threshold: float = DEFAULT_THRESHOLD
     mean_cut: float = DEFAULT_MEAN_CUT
     cv_cut: float = DEFAULT_CV_CUT
     subsample: int | None = None
@@ -74,11 +76,6 @@ class KmhConfig:
             self,
             M=self.M if self.M is not None else default_m(n, p),
             G=self.G if self.G is not None else min(default_g(n), data.n_distinct),
-            scatter_starts=(
-                self.scatter_starts
-                if self.scatter_starts is not None
-                else default_scatter_starts(n, p)
-            ),
         )
         if min(cfg.M, cfg.L, cfg.B, cfg.threads) < 1:
             raise ValueError("M, L, B and threads must all be >= 1")
@@ -88,8 +85,6 @@ class KmhConfig:
             )
         if cfg.kstar_known is not None and not (1 <= cfg.kstar_known <= cfg.G):
             raise ValueError(f"kstar={cfg.kstar_known} must be in [1, G={cfg.G}]")
-        if not (0.0 < cfg.threshold < 1.0):
-            raise ValueError(f"threshold={cfg.threshold} must be in (0, 1)")
         if cfg.subsample is not None and cfg.subsample < 2:
             raise ValueError(f"subsample={cfg.subsample} must be >= 2")
         if not (0.0 <= cfg.scatter_frac < 1.0):
@@ -199,9 +194,7 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     timings["standardize"] = time.monotonic() - t
 
     t = time.monotonic()
-    scat = remove_scatter(
-        data, cfg.G, frac=cfg.scatter_frac, starts=cfg.scatter_starts, seed=stream_scatter
-    )
+    scat = remove_scatter(data, cfg.G, frac=cfg.scatter_frac, seed=stream_scatter)
     core_indices = scat.core_indices
     if core_indices.size < 2:
         raise KmhError("fewer than 2 observations remain after scatter removal")
@@ -217,7 +210,6 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
             core_data,
             range(2, kmax + 1),
             M=cfg.M,
-            starts=cfg.kmeans_starts,
             seed=stream_krz,
             threads=cfg.threads,
         )
@@ -229,7 +221,7 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     else:
         warnings.append(f"too few distinct observations for the K0 search; using K0={kmax}")
         k0_candidates = [kmax]
-        results = {kmax: best_of(core_data, kmax, starts=cfg.kmeans_starts, seed=stream_krz)}
+        results = {kmax: best_of(core_data, kmax, seed=stream_krz)}
     timings["krzanowski"] = time.monotonic() - t
 
     t = time.monotonic()
@@ -284,7 +276,6 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
             B=cfg.B,
             subsample=take,
             seed=stream_consensus,
-            threshold=cfg.threshold,
             mean_cut=cfg.mean_cut,
             cv_cut=cfg.cv_cut,
         )

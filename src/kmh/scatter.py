@@ -39,7 +39,7 @@ def remove_scatter(
     The size test is strict (< frac*n), so with frac=0.001 nothing is
     removed below n=1001 and singletons go first at n=2000. When
     frac*n <= 1 no group can be that small, so the G-means run is skipped
-    and every row is core.
+    and every row is core. `starts` defaults to `default_scatter_starts`.
     """
     if not (2 <= G <= data.n_distinct):
         raise ValueError(f"G={G} out of range for {data.n_distinct} distinct rows")

@@ -1,6 +1,7 @@
 """`kmh run` end to end through `cli.main`: the artifact set, exit codes for
 bad input, and the defaults it shares with the library."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -16,10 +17,12 @@ from kmh.cli import (
     build_parser,
     config_from_args,
     main,
+    read_csv,
     write_heatmap,
     write_similarity,
 )
 from kmh.consensus import DEFAULT_CV_CUT, DEFAULT_MEAN_CUT, SimilarityMatrix
+from kmh.datagen import gen_banana_spheres, gen_bullseye
 from kmh.pipeline import KmhConfig
 
 ARTIFACTS = [
@@ -62,10 +65,12 @@ def test_run_writes_artifacts(bullseye_csv, tmp_path, capsys):
 
 # SHA-256 of the artifacts of `kmh run` on gen_bullseye(seed=0) with
 # --seed 0 --linkage-cutoffs 0.5,0.8 and the truth column, recorded with the
-# per-cell writers and the B-replicate consensus loop.
+# per-cell writers and the B-replicate consensus loop. The report.json digest
+# is that schema-2 report with the config keys threshold, kmeans_starts and
+# scatter_starts deleted and schema_version 3, re-dumped as the CLI dumps it.
 ARTIFACT_GOLDEN = {
     "labels.csv": "463963f3c429eaf22498823961d42bd915a78102dfce98a0d81053cb5e8af665",
-    "report.json": "f034c719edeb0da6cde8fc1a2abb5087acb1a7ef149e44650588a18b4308728e",
+    "report.json": "8aa0a075676e140f8739b62ac540c6629de9ecc058a0c42124b31eb8765190a5",
     "similarity.csv": "054f5fc5227d6fbdaa2cb57e4d959522f132ac9f5696c7f5c4a9449a46c09b61",
     "heatmap.pgm": "ef84079eaabd27d6791aa0eddba35413bf3568987ff37fb9367cc171abdea209",
     "heatmap_order.csv": "3e741002600496b121f1fe716a86ac6e5c3744ff5484e99643bc29a8bc1abb3c",
@@ -209,3 +214,57 @@ def test_parsed_defaults_match_library():
     args = build_parser().parse_args(["run", "--input", "data.csv"])
     assert config_from_args(args) == KmhConfig()
     assert args.linkage_cutoffs == (DEFAULT_MEAN_CUT, DEFAULT_CV_CUT)
+
+
+def test_every_config_field_has_a_flag():
+    argv = ["run", "--input", "data.csv", "--seed", "7", "--kstar", "3", "--M", "4"]
+    argv += ["--L", "2", "--B", "50", "--G", "12", "--standardize", "--scatter-frac", "0.01"]
+    argv += ["--linkage-cutoffs", "0.4,0.9", "--subsample", "200", "--threads", "2"]
+    config, default = config_from_args(build_parser().parse_args(argv)), KmhConfig()
+    for field in dataclasses.fields(KmhConfig):
+        assert getattr(config, field.name) != getattr(default, field.name), field.name
+
+
+def dataset_rows(ds) -> np.ndarray:
+    return np.column_stack([ds.data.values, ds.truth.labels])
+
+
+@pytest.mark.parametrize(
+    "argv, dataset",
+    [
+        (["bullseye", "--seed", "0"], lambda: gen_bullseye(seed=0)),
+        (
+            ["banana-spheres", "--n-banana", "50", "--n-ring-outer", "200"],
+            lambda: gen_banana_spheres(n_banana=50, n_ring=200),
+        ),
+    ],
+    ids=["bullseye", "banana-spheres"],
+)
+def test_gen_writes_the_generator_rows(tmp_path, argv, dataset):
+    path = tmp_path / "gen.csv"
+    assert main(["gen"] + argv + ["--out", str(path)]) == EXIT_OK
+    written = np.loadtxt(path, delimiter=",")
+    assert np.array_equal(written, dataset_rows(dataset()))
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--centers", "0,0;1"], ["--centers", "0,0;a,1"], ["--sizes", "10,10"]],
+    ids=["ragged", "non-numeric", "count-mismatch"],
+)
+def test_malformed_blobs_exit_2(tmp_path, extra):
+    path = tmp_path / "blobs.csv"
+    try:
+        code = main(["gen", "blobs", "--out", str(path)] + extra)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_USAGE
+    assert not path.exists()
+
+
+def test_truth_labels_are_rounded(tmp_path):
+    path = tmp_path / "near.csv"
+    rows = [[0.0, 0.0, 1.0], [1.0, 0.0, 1.9999999999], [0.0, 1.0, 0.99999999999], [1.0, 1.0, 2.0]]
+    path.write_text("\n".join(",".join(repr(v) for v in row) for row in rows) + "\n")
+    _, truth = read_csv(str(path), truth_col=2)
+    assert truth.labels.tolist() == [1, 2, 1, 2]

@@ -245,6 +245,3 @@ def test_argument_errors():
         estimate_kstar(parts(labels, labels), B=0, subsample=5)
     with pytest.raises(ValueError):
         estimate_kstar(parts(labels, labels), B=2, subsample=99)
-    for threshold in (1.5, 0.0, 1.0):
-        with pytest.raises(ValueError, match="threshold"):
-            estimate_kstar(parts(labels, labels), B=1, subsample=5, threshold=threshold)

@@ -53,7 +53,7 @@ def test_banana_arcs_inside_ring():
 def test_banana_outlier_labels():
     ds = gen_banana_spheres(n_banana=50, n_ring=100, n_outliers=12, seed=4)
     assert ds.data.n == 212
-    assert not ds.truth.has_scatter
+    assert 0 not in ds.truth.labels
     ds2 = gen_banana_spheres(n_banana=50, n_ring=100, n_outliers=12, seed=4, outliers_as_scatter=True)
     assert (ds2.truth.labels == 0).sum() == 12
 

@@ -81,7 +81,7 @@ def test_resolve_fills_data_defaults_once():
     data = gen_bullseye(seed=0).data
     cfg = KmhConfig().resolve(data)
     assert isinstance(cfg, KmhConfig)
-    assert (cfg.M, cfg.G, cfg.scatter_starts) == (2, 20, 29)
+    assert (cfg.M, cfg.G) == (2, 20)
     assert cfg.resolve(data) == cfg
 
 
@@ -100,8 +100,8 @@ def test_duplicate_heavy_input_caps_default_g():
 @pytest.mark.parametrize(
     "config, message",
     [
-        (KmhConfig(threshold=1.5), "threshold"),
-        (KmhConfig(threshold=0.0), "threshold"),
+        (KmhConfig(G=1), "G=1"),
+        (KmhConfig(M=0), "M, L, B"),
         (KmhConfig(threads=0), "threads"),
         (KmhConfig(kstar_known=4), "kstar"),
         (KmhConfig(subsample=1), "subsample"),
