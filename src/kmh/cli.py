@@ -75,7 +75,8 @@ def read_csv(path: str, truth_col: int | None = None):
         if not (0 <= truth_col < values.shape[1]):
             raise InputError(f"truth column {truth_col} out of range")
         raw = values[:, truth_col]
-        if not np.allclose(raw, np.round(raw)) or raw.min() < 0:
+        # an absolute tolerance: a relative one lets 100000.4 pass as a label
+        if not np.allclose(raw, np.round(raw), rtol=0.0) or raw.min() < 0:
             raise InputError("truth column must hold nonnegative integer labels")
         truth = Partition.from_labels(np.round(raw).astype(np.int64))
         values = np.delete(values, truth_col, axis=1)

@@ -268,3 +268,13 @@ def test_truth_labels_are_rounded(tmp_path):
     path.write_text("\n".join(",".join(repr(v) for v in row) for row in rows) + "\n")
     _, truth = read_csv(str(path), truth_col=2)
     assert truth.labels.tolist() == [1, 2, 1, 2]
+
+
+def test_large_non_integer_truth_label_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "far.csv", tmp_path / "out"
+    rows = [[0.0, 0.0, 1.0], [1.0, 0.0, 100000.4], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]]
+    path.write_text("\n".join(",".join(repr(v) for v in row) for row in rows) + "\n")
+    argv = ["run", "--input", str(path), "--output-dir", str(out), "--truth-col", "2"]
+    assert main(argv) == EXIT_USAGE
+    assert "nonnegative integer labels" in capsys.readouterr().err
+    assert not out.exists()

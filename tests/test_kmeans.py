@@ -1,12 +1,25 @@
 """Lloyd iterations, multi-start behavior, and the Diff-ratio criterion."""
 
+import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from kmh.core import DataMatrix
-from kmh.kmeans import _init_macqueen, _sq_distances, best_of, krzanowski_candidates, krzanowski_from_traces, lloyd
+import kmh.kmeans as kmeans
+from kmh._rng import generator, spawn
+from kmh.core import DataMatrix, Partition
+from kmh.kmeans import (
+    MAX_SWEEPS,
+    KMeansResult,
+    _init_macqueen,
+    _sq_distances,
+    best_of,
+    krzanowski_candidates,
+    krzanowski_from_traces,
+    lloyd,
+)
 
 
 def wgss_direct(data, result):
@@ -117,7 +130,7 @@ def test_empty_cluster_repair_keeps_k():
         assert np.bincount(res.partition.labels, minlength=5)[1:].min() >= 1
 
 
-def test_repair_never_takes_a_sole_member():
+def draw_1856():
     # draw 1856 of this generator: the farthest point sits alone in its
     # cluster, and moving it used to empty that cluster (0/0 centre)
     rng = np.random.default_rng(0)
@@ -126,6 +139,11 @@ def test_repair_never_takes_a_sole_member():
         x = rng.standard_normal((n, p)) * rng.choice([1, 5, 50], size=(n, 1))
         K = int(rng.integers(3, min(n, 10) + 1))
     assert (n, p, K) == (24, 2, 9)
+    return x, K
+
+
+def test_repair_never_takes_a_sole_member():
+    x, K = draw_1856()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = lloyd(DataMatrix(x), K, seed=1856)
@@ -143,6 +161,10 @@ def test_sq_distances_match_broadcast_expression():
         want = x_sq[:, None] - 2.0 * (x @ centers.T) + (centers**2).sum(axis=1)[None, :]
         np.maximum(want, 0.0, out=want)
         assert _sq_distances(x, x_sq, centers).tobytes() == want.tobytes()
+        # stacked centres give each run's block, bit for bit
+        stacked = _sq_distances(x, x_sq, np.stack([3.0 * centers, centers]))
+        assert stacked[1].tobytes() == want.tobytes()
+        assert stacked[0].tobytes() == _sq_distances(x, x_sq, 3.0 * centers).tobytes()
 
 
 def test_krzanowski_formula_example():
@@ -181,3 +203,194 @@ def test_krzanowski_on_three_blobs():
             res = best_of(data, 3, starts=10, seed=None or 0)
             assert stored <= res.wgss * 1.05 + 1e-9
     assert (trace.traces >= 0).all()
+
+
+def lloyd_reference(data, K, seed, max_iter=MAX_SWEEPS):
+    """One K-means run alone, sweep by sweep: the single-start loop that
+    `lloyd` ran once per seed before its runs advanced in lockstep."""
+    x = data.values
+    n, p = data.n, data.p
+    if K == 1:
+        center = x.mean(axis=0, keepdims=True)
+        wgss = float(((x - center) ** 2).sum())
+        return KMeansResult(Partition(np.ones(n, dtype=np.int64)), center, wgss, 0)
+    centers = _init_macqueen(x, data.row_ids, K, generator(seed))
+    x_sq = (x**2).sum(axis=1)
+    labels = np.full(n, -1, dtype=np.int64)
+    sweeps = 0
+    while sweeps < max_iter:
+        sweeps += 1
+        d2 = x @ centers.T
+        np.multiply(2.0, d2, out=d2)
+        np.subtract(x_sq[:, None], d2, out=d2)
+        np.add(d2, (centers**2).sum(axis=1), out=d2)
+        np.maximum(d2, 0.0, out=d2)
+        new_labels = d2.argmin(axis=1)
+
+        counts = np.bincount(new_labels, minlength=K)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            own_d2 = d2[np.arange(n), new_labels]
+            for k in empty:
+                donor = counts[new_labels] >= 2
+                far = int(np.argmax(np.where(donor, own_d2, -1.0)))
+                counts[new_labels[far]] -= 1
+                counts[k] += 1
+                new_labels[far] = k
+
+        changed = not np.array_equal(new_labels, labels)
+        labels = new_labels
+        sums = np.bincount(
+            (labels[:, None] * p + np.arange(p)).ravel(), weights=x.ravel(), minlength=K * p
+        ).reshape(K, p)
+        centers = sums / counts[:, None]
+        if not changed:
+            break
+    wgss = float(((x - centers[labels]) ** 2).sum())
+    return KMeansResult(Partition(labels + 1), centers, wgss, sweeps)
+
+
+def best_reference(data, K, seeds, max_iter=MAX_SWEEPS):
+    """The first run of lowest WGSS, in seed order."""
+    best = None
+    for seed in seeds:
+        result = lloyd_reference(data, K, seed, max_iter)
+        if best is None or result.wgss < best.wgss:
+            best = result
+    return best
+
+
+def assert_same_run(got, want):
+    assert got.partition.labels.tobytes() == want.partition.labels.tobytes()
+    assert got.centers.tobytes() == want.centers.tobytes()
+    assert got.wgss == want.wgss
+    assert got.iterations == want.iterations
+
+
+def duplicate_heavy(p, seed, n=40, distinct=12):
+    """n rows drawn from `distinct` rows on a 0.1 grid; about half of the
+    zero entries are -0.0, which counts as the same row as 0.0."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1.0, 5.0], size=(distinct, 1))
+    base = np.round(rng.standard_normal((distinct, p)) * scale, 1)
+    base[rng.random(base.shape) < 0.2] = 0.0
+    x = base[rng.integers(0, distinct, size=n)]
+    x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+    return DataMatrix(x)
+
+
+# warnings are errors: a run left unrepaired divides 0/0 and may still lose
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", range(1, 8))
+def test_lockstep_runs_match_one_run_loop(p):
+    data = duplicate_heavy(p, seed=p)
+    top = data.n_distinct
+    for K in range(1, top + 1):
+        assert_same_run(best_of(data, K, starts=10, seed=K), best_reference(data, K, spawn(K, 10)))
+        assert_same_run(lloyd(data, K, seed=K), lloyd_reference(data, K, K))
+    for K in sorted({2, (top + 1) // 2, top}):
+        for starts in (1, 78):
+            want = best_reference(data, K, spawn(100 + K, starts))
+            assert_same_run(best_of(data, K, starts=starts, seed=100 + K), want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_small_groups_match_one_run_loop(monkeypatch):
+    # groups of 3 runs: several groups per call, with runs retiring at
+    # different sweeps, repairs in mid-group and a sweep cap. Seeds 55 and
+    # 131 share a group and both repair at sweep 2; 1856 repairs too.
+    repairs = []
+    repair = kmeans._repair_empty
+    monkeypatch.setattr(kmeans, "_repair_empty", lambda *args: repairs.append(repair(*args)))
+    x, K = draw_1856()
+    repair_case = DataMatrix(x)
+    monkeypatch.setattr(kmeans, "BUDGET", 3 * repair_case.n * K)
+    seeds = [55, 131] + list(range(1850, 1860))
+    assert_same_run(lloyd(repair_case, K, seed=seeds), best_reference(repair_case, K, seeds))
+    assert len(repairs) >= 3
+
+    for p in (1, 3, 6):
+        data = duplicate_heavy(p, seed=20 + p, n=60)
+        for K in (2, 5, data.n_distinct):
+            monkeypatch.setattr(kmeans, "BUDGET", 3 * data.n * K)
+            for max_iter in (2, MAX_SWEEPS):
+                got = lloyd(data, K, seed=spawn(p * K, 78), max_iter=max_iter)
+                assert_same_run(got, best_reference(data, K, spawn(p * K, 78), max_iter))
+
+
+def three_blobs(seed=8):
+    rng = np.random.default_rng(seed)
+    return DataMatrix(np.repeat([[0, 0], [6, 0], [0, 6]], 20, axis=0) + rng.normal(size=(60, 2)))
+
+
+def test_seed_list_semantics():
+    data = three_blobs()
+    for s in range(5):
+        assert_same_run(lloyd(data, 4, seed=[s]), lloyd(data, 4, seed=s))
+
+    # two seeds that reach the same partition in different sweep counts:
+    # the tie goes to the first seed, whose sweep count is reported
+    runs = [lloyd(data, 3, seed=s) for s in range(40)]
+    a, b = next(
+        (i, j)
+        for i in range(40)
+        for j in range(40)
+        if runs[i].wgss == runs[j].wgss and runs[i].iterations < runs[j].iterations
+    )
+    assert_same_run(lloyd(data, 3, seed=[a, b]), runs[a])
+    assert_same_run(lloyd(data, 3, seed=[b, a]), runs[b])
+
+    with pytest.raises(ValueError, match="empty"):
+        lloyd(data, 3, seed=[])
+    with pytest.raises(ValueError, match="max_iter"):
+        lloyd(data, 3, seed=[1, 2], max_iter=0)
+
+    one = lloyd(data, 1, seed=[3, 4, 5])
+    assert one.centers.tobytes() == data.values.mean(axis=0, keepdims=True).tobytes()
+    assert one.wgss == float(((data.values - data.values.mean(axis=0)) ** 2).sum())
+    assert one.iterations == 0 and one.partition.labels.tolist() == [1] * data.n
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated above the starting level while fn runs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_best_of_working_set_stays_within_budget():
+    # a blobs-dup shape: 8 blobs of 112 rows in p=5 plus 300 duplicate rows
+    rng = np.random.default_rng(0)
+    blobs = np.repeat(rng.uniform(-10, 10, size=(8, 5)), 112, axis=0) + rng.normal(size=(896, 5))
+    data = DataMatrix(np.vstack([blobs, blobs[rng.integers(0, 896, size=300)]]))
+    assert data.n_distinct >= 34  # computed once, outside the traced calls
+    one_run = traced_peak(lambda: lloyd(data, 34, seed=0))
+    all_starts = traced_peak(lambda: best_of(data, 34, starts=78, seed=0))
+    # a few 256 KiB budgets; all 78 runs' distance blocks at once would
+    # take about 25 MB
+    assert all_starts <= one_run + 3 * 2**18
+
+
+def test_best_of_calls_lloyd_once_through_its_module_binding(monkeypatch):
+    # the benchmark's Lloyd span wraps `kmh.kmeans.lloyd` and binds these
+    original = kmeans.lloyd
+    signature = inspect.signature(original)
+    calls = []
+
+    def counting(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kmeans, "lloyd", counting)
+    data = three_blobs()
+    result = best_of(data, 3, starts=10, seed=4)
+    assert len(calls) == 1
+    assert calls[0]["data"] is data and calls[0]["K"] == 3
+    assert calls[0]["max_iter"] == MAX_SWEEPS
+    assert result.iterations >= 1
