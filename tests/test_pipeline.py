@@ -1,6 +1,6 @@
 """End-to-end goldens for `run_kmh`: a seeded run reproduces the recorded
-final labels and report co-association matrix bit for bit, at one thread
-and at two."""
+final labels, report co-association matrix, candidate partitions and merge
+heights bit for bit, at one thread and at two."""
 
 import hashlib
 
@@ -26,19 +26,26 @@ def sha256(arr: np.ndarray, dtype: str) -> str:
 
 # SHA-256 of the final labels (little-endian int64) and of the report psi
 # (little-endian float64), recorded with the broadcast-compare psi and the
-# per-row MacQueen dedupe that preceded the current implementations.
+# per-row MacQueen dedupe that preceded the current implementations; then of
+# every candidate partition's labels concatenated in candidate order (int64)
+# and of each K0's merge heights concatenated in K0 order (float64), recorded
+# with the frozenset single linkage.
 GOLDEN = {
     "bullseye": (
         lambda: gen_bullseye(seed=0).data,
         2,
         "6de8d4301db961aa494ccd878d679ab095dfff7aa023ddc4d156e26a55f1bf20",
         "5e61c9bae38dd47bc19f7a0770c904660f703c2ef07e7f63be92101b4e30996d",
+        "b85452a3340ddaf62a8c5cb5a825effa396653a9e793b76335287a330d922b3f",
+        "205e2c5fead9118ddddb1d2e47a6167dcd16006a1711cea37b911cb65e1ada67",
     ),
     "blobs-dup": (
         blobs_with_duplicates,
         4,
         "dff0c4474227e8f4a9e0f4d46a7785e3998434568475ad17e32ff6e71591e6df",
         "3d95ad583bb8515315bff36e8c536d6c323c96c0a370a1990b9948b9a1862661",
+        "b6c0228f1c67e8c8c8209e8aa744a6fb2c1a42614814b39c1697fafdae3ca9b9",
+        "f9a1df796c5bc74aa160bd366d6475105dcd82aaf9c968c2d07f48db1047495c",
     ),
 }
 
@@ -60,11 +67,15 @@ KSTAR_GOLDEN = {
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seeded_run_matches_golden(name, threads):
-    make_data, kstar, labels_sha, psi_sha = GOLDEN[name]
+    make_data, kstar, labels_sha, psi_sha, candidates_sha, heights_sha = GOLDEN[name]
     report = run_kmh(make_data(), KmhConfig(seed=0, threads=threads))
     assert report.chosen_kstar == kstar
     assert sha256(report.final_partition.labels, "<i8") == labels_sha
     assert sha256(report.similarity.psi, "<f8") == psi_sha
+    candidates = [c.partition.labels for c in report.candidate_partitions]
+    assert sha256(np.concatenate(candidates), "<i8") == candidates_sha
+    heights = [trace.heights for trace in report.merge_traces.values()]
+    assert sha256(np.concatenate(heights), "<f8") == heights_sha
     votes = report.kstar_estimate
     per_replicate_sha, frequencies_sha = KSTAR_GOLDEN[name]
     assert len(votes.per_replicate) == 100
