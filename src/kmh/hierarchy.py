@@ -1,8 +1,10 @@
 """Single-linkage agglomeration over K-means entities.
 
 Entities are merged greedily by smallest pairwise distance with the
-min-rule distance update; the recorded merge heights feed the change-point
-heuristic that proposes how many general-shaped clusters to keep.
+min-rule distance update. Each group is named by its smallest entity, and a
+merge is recorded as the two names with its height; the heights feed the
+change-point heuristic that proposes how many general-shaped clusters to
+keep.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from .core import SCATTER_LABEL, Partition
 
 @dataclass(frozen=True)
 class MergeTrace:
-    """Ordered merges (members_a, members_b, height) over original entity ids."""
+    """Ordered merges (a, b, height): the groups named by their smallest
+    entities a < b join at `height`, and the union keeps the name a."""
 
     merges: tuple
     entity_count: int
@@ -38,8 +41,8 @@ def _check_distance_matrix(dist: np.ndarray) -> np.ndarray:
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance matrix must be square")
-    if np.isnan(dist).any():
-        raise ValueError("distance matrix contains NaN")
+    if not np.isfinite(dist).all():
+        raise ValueError("distance matrix contains NaN or inf")
     if not np.array_equal(dist, dist.T):
         raise ValueError("distance matrix must be symmetric")
     if (dist < 0).any():
@@ -47,51 +50,47 @@ def _check_distance_matrix(dist: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _pair_key(members_a: frozenset, members_b: frozenset) -> tuple:
-    return tuple(sorted((min(members_a), min(members_b))))
+def _group_ids(merges, K0: int) -> np.ndarray:
+    """Group id 0, 1, ... of each entity after `merges`, numbered by each
+    group's smallest entity."""
+    root = np.arange(K0)
+    for a, b, _ in merges:
+        root[root == b] = a
+    return np.unique(root, return_inverse=True)[1]
 
 
 def single_linkage(dist, stop_at: int = 1):
     """Greedy single-linkage agglomeration of a distance matrix.
 
-    Repeatedly merges the closest pair of current clusters (ties resolved
-    toward the pair with lexicographically smallest original entity ids)
-    and updates distances by the elementwise minimum, until `stop_at`
-    clusters remain. Returns (MergeTrace, labels) where labels assigns
-    each original entity a group id 1..stop_at, numbered by each group's
-    smallest member.
+    Repeatedly merges the closest pair of current groups (ties resolved
+    toward the lexicographically smallest pair of group names) and updates
+    distances by the elementwise minimum, until `stop_at` groups remain.
+    Returns (MergeTrace, labels) where labels assigns each original entity
+    a group id 1..stop_at, numbered by each group's smallest member.
     """
     dist = _check_distance_matrix(dist)
     K0 = dist.shape[0]
     if not (1 <= stop_at <= K0):
         raise ValueError(f"stop_at={stop_at} out of range for {K0} entities")
 
-    clusters = [frozenset([i]) for i in range(K0)]
+    # group a owns row and column a; the diagonal and merged-away rows and
+    # columns hold inf, so the first minimum in row-major order is the
+    # smallest tied pair, and a min-rule merge leaves other row minima as
+    # they were
     work = dist.copy()
+    np.fill_diagonal(work, np.inf)
+    row_min = work.min(axis=1)
     merges = []
-    while len(clusters) > stop_at:
-        rows, cols = np.triu_indices(len(clusters), 1)
-        vals = work[rows, cols]
-        ties = np.flatnonzero(vals == vals.min())
-        best = min(ties, key=lambda t: _pair_key(clusters[rows[t]], clusters[cols[t]]))
-        a, b = int(rows[best]), int(cols[best])
-        height = work[a, b]
-        merges.append((clusters[a], clusters[b], float(height)))
-
-        merged_row = np.minimum(work[a], work[b])
-        work[a] = merged_row
-        work[:, a] = merged_row
-        work[a, a] = 0.0
-        keep = [i for i in range(len(clusters)) if i != b]
-        work = work[np.ix_(keep, keep)]
-        clusters[a] = clusters[a] | clusters[b]
-        del clusters[b]
-
-    labels = np.empty(K0, dtype=np.int64)
-    for gid, members in enumerate(sorted(clusters, key=min), start=1):
-        for m in members:
-            labels[m] = gid
-    return MergeTrace(tuple(merges), K0), labels
+    for _ in range(K0 - stop_at):
+        a = int(np.argmin(row_min))
+        b = int(np.argmin(work[a]))
+        merges.append((a, b, float(work[a, b])))
+        row = np.minimum(work[a], work[b])
+        row[[a, b]] = np.inf
+        work[a] = work[:, a] = row
+        work[b] = work[:, b] = np.inf
+        row_min[a], row_min[b] = row.min(), np.inf
+    return MergeTrace(tuple(merges), K0), _group_ids(merges, K0) + 1
 
 
 def change_points(trace: MergeTrace, L: int) -> ChangePointReport:
@@ -127,15 +126,11 @@ def cut_to_partition(trace: MergeTrace, kstar: int, entity_partition: Partition)
     K0 = trace.entity_count
     if not (1 <= kstar <= K0):
         raise ValueError(f"kstar={kstar} out of range for {K0} entities")
+    if K0 - kstar > len(trace.merges):
+        raise ValueError(f"kstar={kstar} needs {K0 - kstar} merges, trace has {len(trace.merges)}")
     if entity_partition.K != K0:
         raise ValueError("entity partition does not match the trace")
 
-    # each merge joins two whole groups; a group is named by its smallest
-    # entity, so ranking the names numbers the groups
-    root = np.arange(K0)
-    for members_a, members_b, _ in trace.merges[: K0 - kstar]:
-        merged = list(members_a | members_b)
-        root[merged] = min(merged)
-    group = np.unique(root, return_inverse=True)[1]
+    group = _group_ids(trace.merges[: K0 - kstar], K0)
     table = np.concatenate([[SCATTER_LABEL], group + 1])
     return Partition(table[entity_partition.labels])

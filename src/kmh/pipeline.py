@@ -91,6 +91,8 @@ class KmhConfig:
             raise ValueError(f"scatter_frac={cfg.scatter_frac} must be in [0, 1)")
         if cfg.seed < 0:
             raise ValueError(f"seed={cfg.seed} must be >= 0")
+        if np.isnan([cfg.mean_cut, cfg.cv_cut]).any():
+            raise ValueError(f"mean_cut={cfg.mean_cut} and cv_cut={cfg.cv_cut} must not be NaN")
         return cfg
 
 

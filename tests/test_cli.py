@@ -141,6 +141,7 @@ def three_values_csv(tmp_path):
         (["--scatter-frac", "1.5"], "scatter_frac"),
         (["--scatter-frac", "-0.1"], "scatter_frac"),
         (["--seed", "-1"], "seed"),
+        (["--linkage-cutoffs", "0.5,nan"], "NaN"),
     ],
 )
 def test_bad_configuration_exits_2(three_values_csv, tmp_path, capsys, extra, message):

@@ -10,7 +10,8 @@ from kmh.hierarchy import change_points, cut_to_partition, single_linkage
 
 def brute_force_single_linkage(dist):
     """Reference: recompute min cross-cluster distance from the ORIGINAL
-    matrix at every step (no update rule), same tie-breaking key."""
+    matrix at every step (no update rule), same tie-breaking key. Merges
+    are (a, b, height) with a < b the smallest entities of the two groups."""
     K = dist.shape[0]
     clusters = [frozenset([i]) for i in range(K)]
     merges = []
@@ -22,8 +23,8 @@ def brute_force_single_linkage(dist):
                 key = (d, tuple(sorted((min(clusters[a]), min(clusters[b])))))
                 if best is None or key < best[0]:
                     best = (key, a, b)
-        (d, _), a, b = best
-        merges.append((clusters[a], clusters[b], d))
+        (d, pair), a, b = best
+        merges.append((*pair, d))
         clusters[a] = clusters[a] | clusters[b]
         del clusters[b]
     return merges
@@ -36,12 +37,23 @@ def random_distance_matrix(rng, k):
     return d
 
 
+def integer_distance_matrix(rng, k):
+    """Distances in {1, 2, 3}: most pairs tie with others."""
+    d = np.triu(rng.integers(1, 4, size=(k, k)), 1).astype(float)
+    return d + d.T
+
+
+def saturated_distance_matrix(rng, k):
+    """About half the distances saturated at 1.0, as far-apart entities give."""
+    d = np.minimum(random_distance_matrix(rng, k) * 2.0, 1.0)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def test_three_entity_hand_trace():
     d = np.array([[0.0, 0.1, 0.4], [0.1, 0.0, 0.3], [0.4, 0.3, 0.0]])
     trace, labels = single_linkage(d, stop_at=1)
-    (a1, b1, h1), (a2, b2, h2) = trace.merges
-    assert {a1, b1} == {frozenset([0]), frozenset([1])} and h1 == 0.1
-    assert {a2, b2} == {frozenset([0, 1]), frozenset([2])} and h2 == 0.3
+    assert trace.merges == ((0, 1, 0.1), (0, 2, 0.3))
     assert labels.tolist() == [1, 1, 1]
 
 
@@ -63,22 +75,27 @@ def test_validation_errors():
         single_linkage(np.array([[0.0, 1], [2, 0.0]]))  # asymmetric
     with pytest.raises(ValueError):
         single_linkage(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    for inf in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="inf"):
+            single_linkage(np.array([[0.0, inf], [inf, 0.0]]))
     d = np.zeros((3, 3))
     with pytest.raises(ValueError):
         single_linkage(d, stop_at=5)
 
 
-def test_matches_brute_force_on_random_matrices():
+@pytest.mark.parametrize(
+    "make_matrix",
+    [random_distance_matrix, integer_distance_matrix, saturated_distance_matrix],
+    ids=["uniform", "integer", "saturated"],
+)
+def test_matches_brute_force_on_random_matrices(make_matrix):
     rng = np.random.default_rng(10)
     for _ in range(60):
         k = int(rng.integers(3, 9))
-        d = random_distance_matrix(rng, k)
+        d = make_matrix(rng, k)
         trace, _ = single_linkage(d)
         ref = brute_force_single_linkage(d)
-        assert len(trace.merges) == len(ref)
-        for (ga, gb, gh), (ra, rb, rh) in zip(trace.merges, ref):
-            assert {ga, gb} == {ra, rb}
-            assert gh == rh
+        assert trace.merges == tuple(ref)
 
 
 def test_heights_nondecreasing():
@@ -138,6 +155,15 @@ def test_cut_small_example():
     entity_part = Partition(np.array([1, 2, 3, 3, 0]))
     cut = cut_to_partition(trace, 2, entity_part)
     assert cut.labels.tolist() == [1, 1, 2, 2, 0]
+
+
+def test_cut_needs_enough_merges():
+    d = np.array([[0.0, 0.1, 0.4], [0.1, 0.0, 0.3], [0.4, 0.3, 0.0]])
+    trace, _ = single_linkage(d, stop_at=2)
+    entity_part = Partition(np.array([1, 2, 3]))
+    assert cut_to_partition(trace, 2, entity_part).labels.tolist() == [1, 1, 2]
+    with pytest.raises(ValueError, match="kstar=1 needs 2 merges"):
+        cut_to_partition(trace, 1, entity_part)
 
 
 def test_cut_group_count_and_refinement():

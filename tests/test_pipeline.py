@@ -29,7 +29,9 @@ def sha256(arr: np.ndarray, dtype: str) -> str:
 # per-row MacQueen dedupe that preceded the current implementations; then of
 # every candidate partition's labels concatenated in candidate order (int64)
 # and of each K0's merge heights concatenated in K0 order (float64), recorded
-# with the frozenset single linkage.
+# with the frozenset single linkage; then of the merge pairs (a, b) in the
+# same order (int64), taken from those frozenset traces as the smallest
+# entity of each side.
 GOLDEN = {
     "bullseye": (
         lambda: gen_bullseye(seed=0).data,
@@ -38,6 +40,7 @@ GOLDEN = {
         "5e61c9bae38dd47bc19f7a0770c904660f703c2ef07e7f63be92101b4e30996d",
         "b85452a3340ddaf62a8c5cb5a825effa396653a9e793b76335287a330d922b3f",
         "205e2c5fead9118ddddb1d2e47a6167dcd16006a1711cea37b911cb65e1ada67",
+        "bea05112a604534bd6f56d5057f815e0ba8853a65af9d2b00f5684a5d407fd2d",
     ),
     "blobs-dup": (
         blobs_with_duplicates,
@@ -46,6 +49,7 @@ GOLDEN = {
         "3d95ad583bb8515315bff36e8c536d6c323c96c0a370a1990b9948b9a1862661",
         "b6c0228f1c67e8c8c8209e8aa744a6fb2c1a42614814b39c1697fafdae3ca9b9",
         "f9a1df796c5bc74aa160bd366d6475105dcd82aaf9c968c2d07f48db1047495c",
+        "c54da885537adb0872fce443561b951d36a45b855c2e951bb72fead9c28d43e1",
     ),
 }
 
@@ -67,7 +71,7 @@ KSTAR_GOLDEN = {
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seeded_run_matches_golden(name, threads):
-    make_data, kstar, labels_sha, psi_sha, candidates_sha, heights_sha = GOLDEN[name]
+    make_data, kstar, labels_sha, psi_sha, candidates_sha, heights_sha, pairs_sha = GOLDEN[name]
     report = run_kmh(make_data(), KmhConfig(seed=0, threads=threads))
     assert report.chosen_kstar == kstar
     assert sha256(report.final_partition.labels, "<i8") == labels_sha
@@ -76,6 +80,8 @@ def test_seeded_run_matches_golden(name, threads):
     assert sha256(np.concatenate(candidates), "<i8") == candidates_sha
     heights = [trace.heights for trace in report.merge_traces.values()]
     assert sha256(np.concatenate(heights), "<f8") == heights_sha
+    pairs = [(a, b) for trace in report.merge_traces.values() for a, b, _ in trace.merges]
+    assert sha256(np.array(pairs), "<i8") == pairs_sha
     votes = report.kstar_estimate
     per_replicate_sha, frequencies_sha = KSTAR_GOLDEN[name]
     assert len(votes.per_replicate) == 100
@@ -120,6 +126,7 @@ def test_duplicate_heavy_input_caps_default_g():
         (KmhConfig(scatter_frac=1.5), "scatter_frac"),
         (KmhConfig(scatter_frac=-0.1), "scatter_frac"),
         (KmhConfig(seed=-1), "seed"),
+        (KmhConfig(mean_cut=float("nan")), "NaN"),
     ],
 )
 def test_bad_config_fails_before_clustering(config, message):
