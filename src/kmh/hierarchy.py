@@ -75,8 +75,8 @@ def single_linkage(dist, stop_at: int = 1):
 
     # group a owns row and column a; the diagonal and merged-away rows and
     # columns hold inf, so the first minimum in row-major order is the
-    # smallest tied pair, and a min-rule merge leaves other row minima as
-    # they were
+    # lexicographically smallest tied pair a < b, and a min-rule merge
+    # leaves the other rows' minima unchanged
     work = dist.copy()
     np.fill_diagonal(work, np.inf)
     row_min = work.min(axis=1)

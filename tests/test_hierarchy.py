@@ -45,9 +45,7 @@ def integer_distance_matrix(rng, k):
 
 def saturated_distance_matrix(rng, k):
     """About half the distances saturated at 1.0, as far-apart entities give."""
-    d = np.minimum(random_distance_matrix(rng, k) * 2.0, 1.0)
-    np.fill_diagonal(d, 0.0)
-    return d
+    return np.minimum(random_distance_matrix(rng, k) * 2.0, 1.0)
 
 
 def test_three_entity_hand_trace():

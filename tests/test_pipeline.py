@@ -1,6 +1,6 @@
 """End-to-end goldens for `run_kmh`: a seeded run reproduces the recorded
-final labels, report co-association matrix, candidate partitions and merge
-heights bit for bit, at one thread and at two."""
+final labels, report co-association matrix, candidate partitions, merge
+heights and merge pairs bit for bit, at one thread and at two."""
 
 import hashlib
 
