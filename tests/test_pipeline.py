@@ -89,6 +89,30 @@ def test_seeded_run_matches_golden(name, threads):
     assert sha256(np.array(sorted(votes.frequencies.items())), "<f8") == frequencies_sha
 
 
+# SHA-256 of per_replicate (int64) and of the sorted frequencies (float64) of
+# a bullseye run whose 200-row subsample is below its 400 core rows, so each
+# of the B replicates draws its own rows. The cutoffs send 61 replicates to
+# single linkage and 39 to complete. Recorded with the replicate loop that
+# built one psi and ran one scipy linkage per replicate.
+REPLICATE_GOLDEN = (
+    3,
+    "6345cfa3dbdefbb2e920c59af7b039f3bfa961aee46e2d9cbf037a0dc1c1c1d5",
+    "4309c07a6c2aa48591fdffe793002b6716c249cfa7ab954955bfb23519229d6b",
+)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_subsampled_replicates_match_golden(threads):
+    config = KmhConfig(seed=0, subsample=200, mean_cut=0.345, cv_cut=0.78, threads=threads)
+    report = run_kmh(gen_bullseye(seed=0).data, config)
+    kstar, per_replicate_sha, frequencies_sha = REPLICATE_GOLDEN
+    votes = report.kstar_estimate
+    assert report.chosen_kstar == kstar
+    assert len(votes.per_replicate) == 100
+    assert sha256(np.asarray(votes.per_replicate), "<i8") == per_replicate_sha
+    assert sha256(np.array(sorted(votes.frequencies.items())), "<f8") == frequencies_sha
+
+
 def three_values() -> DataMatrix:
     """120 rows holding only 3 distinct values."""
     return DataMatrix(np.repeat([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], 40, axis=0))
