@@ -4,11 +4,17 @@ The similarity matrix counts how often pairs of observations land in the
 same cluster across partitions; thresholding its dendrogram estimates the
 number of general-shaped clusters, and the final partition is the one most
 similar (by mean Adjusted Rand Index) to all the others.
+
+Rows with one label signature, the tuple of a row's labels across the
+partitions, share a cluster in every partition, so the count vote reads a
+table of co-membership counts between distinct signatures, built once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
@@ -19,7 +25,7 @@ from .core import SCATTER_LABEL, adjusted_rand_index
 
 DEFAULT_THRESHOLD = 0.5
 # linkage-choice cutoffs: co-association ensembles whose off-diagonal mass is
-# modest or noisy get chained with single linkage (see count_groups)
+# modest or noisy get chained with single linkage (see estimate_kstar)
 DEFAULT_MEAN_CUT = 0.5
 DEFAULT_CV_CUT = 0.8
 
@@ -49,45 +55,51 @@ def _core_indices(partitions) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def co_association(partitions, indices: np.ndarray) -> np.ndarray:
-    """Share of `partitions` placing each pair of `indices` in one cluster.
+def _co_counts(partitions, labels: np.ndarray) -> np.ndarray:
+    """How many of `partitions` put each pair of rows of `labels` (a row per
+    observation, a column per partition) in one cluster, as float64.
 
     Evidence accumulation (Fred & Jain 2005): one-hot Y with a column per
     label value 0..K of each partition, so co-membership counts are Y Y^T.
     Scatter label 0 gets its own column, like any other label. The float32
     product is exact: every entry is a sum of at most N ones.
     """
-    labels = np.stack([part.labels[indices] for part in partitions], axis=1)
     widths = [part.K + 1 for part in partitions]
     offsets = np.cumsum([0] + widths[:-1])
-    y = np.zeros((indices.size, sum(widths)), dtype=np.float32)
+    y = np.zeros((labels.shape[0], sum(widths)), dtype=np.float32)
     np.put_along_axis(y, labels + offsets, 1.0, axis=1)
-    return (y @ y.T).astype(np.float64) / float(len(partitions))
+    return (y @ y.T).astype(np.float64)
 
 
-def count_groups(
-    psi: np.ndarray,
-    threshold: float = DEFAULT_THRESHOLD,
-    mean_cut: float = DEFAULT_MEAN_CUT,
-    cv_cut: float = DEFAULT_CV_CUT,
-) -> int:
-    """Cluster count left after cutting the 1-psi dendrogram at 1-threshold.
+def co_association(partitions, indices: np.ndarray) -> np.ndarray:
+    """Share of `partitions` placing each pair of `indices` in one cluster."""
+    labels = np.stack([part.labels[indices] for part in partitions], axis=1)
+    return _co_counts(partitions, labels) / float(len(partitions))
 
-    Linkage is single when the off-diagonal similarities are generally
-    small (mean below mean_cut) or uncertain (coefficient of variation
-    above cv_cut), complete otherwise.
-    """
-    if psi.shape[0] < 2:
-        raise ValueError("need at least 2 observations")
-    off = squareform(psi, checks=False)
-    mean = float(off.mean())
-    cv = np.inf if mean == 0 else float(off.std() / mean)
-    # weak or uncertain co-association: chain cautiously with single linkage
-    method = "single" if (mean < mean_cut or cv > cv_cut) else "complete"
-    tree = linkage(1.0 - off, method=method)
-    # pairs sitting exactly at the threshold stay linked
-    flat = fcluster(tree, t=1.0 - threshold, criterion="distance")
-    return int(flat.max())
+
+def _cv_exceeds(s1: int, s2: int, pairs: int, cut: float) -> bool:
+    """Whether `pairs` values summing to s1, with squares summing to s2, have
+    a coefficient of variation above `cut`, decided exactly. The coefficient
+    is inf when the mean is 0."""
+    if s1 == 0:
+        return math.inf > cut
+    if not 0.0 <= cut < math.inf:
+        return cut < 0.0  # the coefficient is finite and >= 0; NaN is never exceeded
+    # cv**2 = var / mean**2 = (pairs * s2 - s1**2) / s1**2
+    return Fraction(pairs * s2 - s1 * s1, s1 * s1) > Fraction(cut) ** 2
+
+
+def _components(adj: np.ndarray) -> int:
+    """Connected components of the graph with boolean adjacency `adj`."""
+    unseen = np.ones(len(adj), dtype=bool)
+    count = 0
+    while unseen.any():
+        frontier = np.arange(len(adj)) == np.argmax(unseen)
+        while frontier.any():
+            unseen &= ~frontier
+            frontier = adj[frontier].any(axis=0) & unseen
+        count += 1
+    return count
 
 
 def estimate_kstar(
@@ -98,33 +110,65 @@ def estimate_kstar(
     mean_cut: float = DEFAULT_MEAN_CUT,
     cv_cut: float = DEFAULT_CV_CUT,
 ) -> KStarEstimate:
-    """Replicate `count_groups` B times on random observation subsets.
+    """Count groups B times on random observation subsets.
 
     Each replicate samples `subsample` core observations (scatter in no
-    partition) uniformly without replacement, builds the co-association
-    matrix on the subset, and counts groups. Reports every estimate, the
-    frequency of each value, and their lower median. When `subsample` is the
-    whole core set every sorted draw is that set, so one replicate is
-    computed and repeated B times.
+    partition) uniformly without replacement and cuts the 1-psi dendrogram
+    of their co-association at 1-threshold: single linkage when psi off the
+    diagonal is generally small (mean below mean_cut) or uncertain
+    (coefficient of variation above cv_cut), complete otherwise. Reports
+    every estimate, the frequency of each value, and their lower median.
+
+    Replicates read one table `cnt` of co-membership counts between the
+    core's distinct label signatures. With w a replicate's rows per
+    signature, the off-diagonal sums of psi and psi**2 are exactly
+    (w.cnt.w - m N) / 2N and (w.cnt**2.w - m N**2) / 2N**2. A single-linkage
+    cut keeps the components of the threshold graph on the signatures
+    present, whatever the ties. When `subsample` is the whole core set every
+    sorted draw is that set, so one replicate is computed and repeated B
+    times.
     """
     if not partitions:
         raise ValueError("need at least one partition")
     if B < 1:
         raise ValueError("B must be >= 1")
+    if subsample < 2:
+        raise ValueError(f"subsample={subsample} must be >= 2")
     core = _core_indices(partitions)
     if subsample > core.size:
         raise ValueError(f"subsample={subsample} exceeds {core.size} core observations")
 
+    N, m = len(partitions), subsample
+    pairs = m * (m - 1) // 2
+    labels = np.stack([part.labels[core] for part in partitions], axis=1)
+    signatures, sig = np.unique(labels, axis=0, return_inverse=True)
+    sig = sig.reshape(-1)
+    # integer counts held in float64: every sum below is an integer under
+    # (m N)**2, exact while m N < 2**26
+    cnt = _co_counts(partitions, signatures)
+    cnt2 = cnt * cnt
+    # single linkage joins the pairs whose height 1-psi fcluster keeps
+    link = 1.0 - cnt / float(N) <= 1.0 - DEFAULT_THRESHOLD
+
+    def vote(rows: np.ndarray) -> int:
+        picked = sig[rows]
+        w = np.bincount(picked, minlength=len(signatures)).astype(np.float64)
+        s1 = (int(w @ cnt @ w) - m * N) // 2
+        s2 = (int(w @ cnt2 @ w) - m * N * N) // 2
+        # weak or uncertain co-association: chain cautiously with single linkage
+        if Fraction(s1, N * pairs) < mean_cut or _cv_exceeds(s1, s2, pairs, cv_cut):
+            present = np.flatnonzero(w)
+            return _components(link[present][:, present])
+        psi = cnt[np.ix_(picked, picked)] / float(N)
+        tree = linkage(1.0 - squareform(psi, checks=False), method="complete")
+        # pairs sitting exactly at the threshold stay linked
+        return int(fcluster(tree, t=1.0 - DEFAULT_THRESHOLD, criterion="distance").max())
+
     if subsample == core.size:
-        psi = co_association(partitions, core)
-        estimates = [count_groups(psi, mean_cut=mean_cut, cv_cut=cv_cut)] * B
+        estimates = [vote(np.arange(m))] * B
     else:
         rng = generator(seed)
-        estimates = []
-        for _ in range(B):
-            chosen = np.sort(rng.choice(core, size=subsample, replace=False))
-            psi = co_association(partitions, chosen)
-            estimates.append(count_groups(psi, mean_cut=mean_cut, cv_cut=cv_cut))
+        estimates = [vote(np.sort(rng.choice(core.size, size=m, replace=False))) for _ in range(B)]
 
     ordered = sorted(estimates)
     median = ordered[(B - 1) // 2]

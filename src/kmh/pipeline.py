@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import time
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -239,9 +238,9 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     if not usable_k0:
         raise KmhError("no usable K0 candidate remains")
 
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        traces = pool.map(lambda k0: _entity_phase(core_data, results[k0], floor), usable_k0)
-        merge_traces: dict[int, MergeTrace] = dict(zip(usable_k0, traces))
+    merge_traces: dict[int, MergeTrace] = {
+        k0: _entity_phase(core_data, results[k0], floor) for k0 in usable_k0
+    }
     entity_parts = {
         k0: _to_full_partition(results[k0].partition.labels, core_indices, data.n)
         for k0 in usable_k0

@@ -2,9 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import squareform
 
 from kmh.core import Partition, adjusted_rand_index
-from kmh.consensus import co_association, count_groups, estimate_kstar, mean_ari_scores
+from kmh.consensus import (
+    DEFAULT_CV_CUT,
+    DEFAULT_MEAN_CUT,
+    DEFAULT_THRESHOLD,
+    co_association,
+    estimate_kstar,
+    mean_ari_scores,
+)
+
+
+def count_groups(psi, threshold=DEFAULT_THRESHOLD, mean_cut=DEFAULT_MEAN_CUT, cv_cut=DEFAULT_CV_CUT):
+    """Oracle for one consensus vote: the cluster count left after cutting
+    scipy's dendrogram of 1-psi at 1-threshold, single linkage when the
+    off-diagonal mean is below mean_cut or its coefficient of variation
+    above cv_cut, complete otherwise."""
+    off = squareform(psi, checks=False)
+    mean = float(off.mean())
+    cv = np.inf if mean == 0 else float(off.std() / mean)
+    method = "single" if (mean < mean_cut or cv > cv_cut) else "complete"
+    tree = linkage(1.0 - off, method=method)
+    return int(fcluster(tree, t=1.0 - threshold, criterion="distance").max())
 
 
 def parts(*label_lists):
@@ -151,13 +175,17 @@ def test_estimate_kstar_single_full_replicate():
     assert est.median_kstar == 2
 
 
-def replicate_loop(partitions, B, subsample, seed):
-    """estimate_kstar's per-replicate votes drawn one replicate at a time."""
+def replicate_loop(partitions, B, subsample, seed, **cutoffs):
+    """estimate_kstar's per-replicate votes, each from its own psi and scipy
+    linkage."""
     mask = np.logical_and.reduce([part.labels != 0 for part in partitions])
     core = np.flatnonzero(mask)
     rng = np.random.default_rng(seed)
     return [
-        count_groups(co_association(partitions, np.sort(rng.choice(core, subsample, replace=False))))
+        count_groups(
+            psi_reference(partitions, np.sort(rng.choice(core, subsample, replace=False))),
+            **cutoffs,
+        )
         for _ in range(B)
     ]
 
@@ -181,6 +209,82 @@ def test_estimate_kstar_whole_core_equals_replicate_loop(seed):
         assert est.median_kstar == sorted(want)[3]
         values, counts = np.unique(want, return_counts=True)
         assert est.frequencies == {int(v): c / 7 for v, c in zip(values, counts)}
+
+
+CUTOFFS = [DEFAULT_MEAN_CUT, DEFAULT_CV_CUT, 0.0, 0.3, 1.0, -0.5, np.inf, -np.inf]
+
+
+@st.composite
+def tie_heavy_ensembles(draw):
+    """Few labels, rows copied from a handful of signatures, a little label
+    noise, scatter rows, and N from 1 to 30 so that k/N is mostly inexact."""
+    N = draw(st.integers(1, 30))
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 3))
+    pool = rng.integers(1, k + 1, size=(draw(st.integers(1, 6)), N))
+    rows = pool[rng.integers(0, len(pool), size=n)]
+    noise = rng.random((n, N)) < draw(st.sampled_from([0.0, 0.05, 0.2]))
+    rows = np.where(noise, rng.integers(1, k + 1, size=(n, N)), rows)
+    # rows 0 and 1 stay in the core, so it always holds two rows
+    scatter = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.4])))
+    rows[scatter[scatter >= 2], rng.integers(0, N, size=scatter.size)[scatter >= 2]] = 0
+    ps = [Partition.from_labels(col) for col in rows.T]
+    core_size = int((rows != 0).all(axis=1).sum())
+    return ps, draw(st.integers(2, core_size))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    ensemble=tie_heavy_ensembles(),
+    B=st.integers(1, 4),
+    seed=st.integers(0, 1000),
+    mean_cut=st.sampled_from(CUTOFFS),
+    cv_cut=st.sampled_from(CUTOFFS),
+)
+def test_signature_votes_match_replicate_loop(ensemble, B, seed, mean_cut, cv_cut):
+    ps, subsample = ensemble
+    est = estimate_kstar(ps, B=B, subsample=subsample, seed=seed, mean_cut=mean_cut, cv_cut=cv_cut)
+    want = replicate_loop(ps, B, subsample, seed, mean_cut=mean_cut, cv_cut=cv_cut)
+    assert est.per_replicate == want
+
+
+# four rows whose off-diagonal psi is (.5, .5, 1, 0, .5, .5): mean exactly
+# 0.5 and cv = 1/sqrt(3); single linkage chains them into 1 group, complete
+# linkage leaves 2
+AT_HALF = parts([1, 1, 2, 1], [1, 2, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "mean_cut, cv_cut, groups",
+    [
+        (0.5, DEFAULT_CV_CUT, 2),  # mean == mean_cut is not below it: complete
+        (np.nextafter(0.5, 1.0), DEFAULT_CV_CUT, 1),
+        (np.inf, np.inf, 1),
+        (-np.inf, np.inf, 2),
+        (-np.inf, -np.inf, 1),
+        (-np.inf, -0.5, 1),
+        (-0.5, 0.5, 1),  # cv 0.577 > 0.5
+        (-0.5, 0.6, 2),
+    ],
+)
+def test_cutoff_edges(mean_cut, cv_cut, groups):
+    cutoffs = dict(mean_cut=mean_cut, cv_cut=cv_cut)
+    assert count_groups(all_rows(AT_HALF), **cutoffs) == groups
+    for subsample in (3, 4):
+        est = estimate_kstar(AT_HALF, B=5, subsample=subsample, seed=1, **cutoffs)
+        assert est.per_replicate == replicate_loop(AT_HALF, 5, subsample, 1, **cutoffs)
+    assert estimate_kstar(AT_HALF, B=1, subsample=4, **cutoffs).per_replicate == [groups]
+
+
+@pytest.mark.parametrize("mean_cut, cv_cut", [(0.0, np.inf), (-np.inf, np.inf), (0.5, 0.8), (0.0, -1.0)])
+def test_zero_mean_psi(mean_cut, cv_cut):
+    # no two rows ever share a cluster: the mean is 0 and the cv is inf, so
+    # only cv_cut=inf with mean_cut <= 0 keeps complete linkage
+    ps = parts([1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [1, 2, 3, 4, 5])
+    est = estimate_kstar(ps, B=3, subsample=4, seed=2, mean_cut=mean_cut, cv_cut=cv_cut)
+    assert est.per_replicate == [4, 4, 4]
+    assert est.per_replicate == replicate_loop(ps, 3, 4, 2, mean_cut=mean_cut, cv_cut=cv_cut)
 
 
 def test_lower_median_convention():
@@ -245,3 +349,6 @@ def test_argument_errors():
         estimate_kstar(parts(labels, labels), B=0, subsample=5)
     with pytest.raises(ValueError):
         estimate_kstar(parts(labels, labels), B=2, subsample=99)
+    for subsample in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"subsample={subsample} must be >= 2"):
+            estimate_kstar(parts(labels, labels), B=2, subsample=subsample)
