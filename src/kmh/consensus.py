@@ -6,8 +6,8 @@ number of general-shaped clusters, and the final partition is the one most
 similar (by mean Adjusted Rand Index) to all the others.
 
 Rows with one label signature, the tuple of a row's labels across the
-partitions, share a cluster in every partition, so the count vote reads a
-table of co-membership counts between distinct signatures, built once.
+partitions, share a cluster in every partition, so each count vote reads a
+table of co-membership counts between the distinct signatures it drew.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _core_indices(partitions) -> np.ndarray:
 
 def _co_counts(partitions, labels: np.ndarray) -> np.ndarray:
     """How many of `partitions` put each pair of rows of `labels` (a row per
-    observation, a column per partition) in one cluster, as float64.
+    observation, a column per partition) in one cluster.
 
     Evidence accumulation (Fred & Jain 2005): one-hot Y with a column per
     label value 0..K of each partition, so co-membership counts are Y Y^T.
@@ -68,13 +68,13 @@ def _co_counts(partitions, labels: np.ndarray) -> np.ndarray:
     offsets = np.cumsum([0] + widths[:-1])
     y = np.zeros((labels.shape[0], sum(widths)), dtype=np.float32)
     np.put_along_axis(y, labels + offsets, 1.0, axis=1)
-    return (y @ y.T).astype(np.float64)
+    return y @ y.T
 
 
 def co_association(partitions, indices: np.ndarray) -> np.ndarray:
     """Share of `partitions` placing each pair of `indices` in one cluster."""
     labels = np.stack([part.labels[indices] for part in partitions], axis=1)
-    return _co_counts(partitions, labels) / float(len(partitions))
+    return _co_counts(partitions, labels).astype(np.float64) / float(len(partitions))
 
 
 def _cv_exceeds(s1: int, s2: int, pairs: int, cut: float) -> bool:
@@ -90,9 +90,11 @@ def _cv_exceeds(s1: int, s2: int, pairs: int, cut: float) -> bool:
 
 
 def _components(adj: np.ndarray) -> int:
-    """Connected components of the graph with boolean adjacency `adj`."""
-    unseen = np.ones(len(adj), dtype=bool)
-    count = 0
+    """Connected components of the graph with boolean adjacency `adj`, whose
+    diagonal is cleared in place."""
+    np.fill_diagonal(adj, False)
+    unseen = adj.any(axis=1)  # a row with no other link is a component alone
+    count = len(adj) - int(np.count_nonzero(unseen))
     while unseen.any():
         frontier = np.arange(len(adj)) == np.argmax(unseen)
         while frontier.any():
@@ -119,14 +121,15 @@ def estimate_kstar(
     (coefficient of variation above cv_cut), complete otherwise. Reports
     every estimate, the frequency of each value, and their lower median.
 
-    Replicates read one table `cnt` of co-membership counts between the
-    core's distinct label signatures. With w a replicate's rows per
-    signature, the off-diagonal sums of psi and psi**2 are exactly
-    (w.cnt.w - m N) / 2N and (w.cnt**2.w - m N**2) / 2N**2. A single-linkage
-    cut keeps the components of the threshold graph on the signatures
-    present, whatever the ties. When `subsample` is the whole core set every
-    sorted draw is that set, so one replicate is computed and repeated B
-    times.
+    Each replicate tabulates the co-membership counts `cnt` between the
+    distinct label signatures of its rows (at most `subsample` of them), so
+    its work and memory are bounded by the draw, not by the core set. With
+    w its rows per signature, the off-diagonal sums of psi and psi**2 are
+    exactly (w.cnt.w - m N) / 2N and (w.cnt**2.w - m N**2) / 2N**2. A
+    single-linkage cut keeps the components of the threshold graph on those
+    signatures, whatever the ties. When `subsample` is the whole core set
+    every sorted draw is that set, so one replicate is computed and repeated
+    B times.
     """
     if not partitions:
         raise ValueError("need at least one partition")
@@ -143,22 +146,17 @@ def estimate_kstar(
     labels = np.stack([part.labels[core] for part in partitions], axis=1)
     signatures, sig = np.unique(labels, axis=0, return_inverse=True)
     sig = sig.reshape(-1)
-    # integer counts held in float64: every sum below is an integer under
-    # (m N)**2, exact while m N < 2**26
-    cnt = _co_counts(partitions, signatures)
-    cnt2 = cnt * cnt
-    # single linkage joins the pairs whose height 1-psi fcluster keeps
-    link = 1.0 - cnt / float(N) <= 1.0 - DEFAULT_THRESHOLD
 
     def vote(rows: np.ndarray) -> int:
-        picked = sig[rows]
-        w = np.bincount(picked, minlength=len(signatures)).astype(np.float64)
+        present, picked = np.unique(sig[rows], return_inverse=True)
+        w = np.bincount(picked)
+        cnt = _co_counts(partitions, signatures[present]).astype(np.int64)
         s1 = (int(w @ cnt @ w) - m * N) // 2
-        s2 = (int(w @ cnt2 @ w) - m * N * N) // 2
+        s2 = (int(w @ (cnt * cnt) @ w) - m * N * N) // 2
         # weak or uncertain co-association: chain cautiously with single linkage
         if Fraction(s1, N * pairs) < mean_cut or _cv_exceeds(s1, s2, pairs, cv_cut):
-            present = np.flatnonzero(w)
-            return _components(link[present][:, present])
+            # single linkage joins the pairs whose height 1-psi fcluster keeps
+            return _components(1.0 - cnt / float(N) <= 1.0 - DEFAULT_THRESHOLD)
         psi = cnt[np.ix_(picked, picked)] / float(N)
         tree = linkage(1.0 - squareform(psi, checks=False), method="complete")
         # pairs sitting exactly at the threshold stay linked

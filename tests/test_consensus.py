@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
+from kmh import consensus
 from kmh.core import Partition, adjusted_rand_index
 from kmh.consensus import (
     DEFAULT_CV_CUT,
@@ -102,9 +103,17 @@ def test_scatter_excluded_from_psi():
         estimate_kstar(ps, B=1, subsample=3)
 
 
+def whole_core_vote(partitions, **cutoffs):
+    """estimate_kstar's one vote when the subsample is every row."""
+    est = estimate_kstar(partitions, B=1, subsample=partitions[0].n, **cutoffs)
+    return est.per_replicate[0]
+
+
 def test_estimate_two_blocks():
     labels = [1] * 5 + [2] * 5
-    assert count_groups(all_rows(parts(labels, labels, labels))) == 2
+    ps = parts(labels, labels, labels)
+    assert count_groups(all_rows(ps)) == 2
+    assert whole_core_vote(ps) == 2
 
 
 def test_estimate_all_ones_gives_one():
@@ -131,9 +140,11 @@ def test_exact_k_recovery_for_pure_ensembles():
     for k in (2, 3, 5):
         labels = rng.integers(1, k + 1, size=40)
         labels[:k] = np.arange(1, k + 1)
-        psi = all_rows(parts(*[labels] * 7))
+        ps = parts(*[labels] * 7)
+        psi = all_rows(ps)
         for threshold in (0.2, 0.5, 0.8):
             assert count_groups(psi, threshold=threshold) == k
+        assert whole_core_vote(ps) == k
 
 
 def test_estimate_reorder_invariance_single_regime():
@@ -141,10 +152,13 @@ def test_estimate_reorder_invariance_single_regime():
     # graph components and is reorder-invariant even with tied entries
     rng = np.random.default_rng(2)
     labels = [rng.integers(1, 4, size=15) for _ in range(4)]
-    k1 = count_groups(all_rows(parts(*labels)))
+    ps = parts(*labels)
+    k1 = count_groups(all_rows(ps))
     perm = rng.permutation(15)
-    k2 = count_groups(all_rows(parts(*[l[perm] for l in labels])))
+    permuted = parts(*[l[perm] for l in labels])
+    k2 = count_groups(all_rows(permuted))
     assert k1 == k2
+    assert whole_core_vote(ps) == whole_core_vote(permuted) == k1
 
 
 def test_estimate_reorder_invariance_complete_regime():
@@ -209,6 +223,21 @@ def test_estimate_kstar_whole_core_equals_replicate_loop(seed):
         assert est.median_kstar == sorted(want)[3]
         values, counts = np.unique(want, return_counts=True)
         assert est.frequencies == {int(v): c / 7 for v, c in zip(values, counts)}
+
+
+def test_vote_tables_bounded_by_subsample(monkeypatch):
+    # 300 core rows with about as many distinct signatures: each replicate
+    # tabulates only the signatures it drew, never the whole core set
+    rng = np.random.default_rng(5)
+    ps = parts(*[rng.integers(1, 9, size=300) for _ in range(4)])
+    rows = []
+    real = consensus._co_counts
+    monkeypatch.setattr(
+        consensus, "_co_counts", lambda p, labels: (rows.append(len(labels)), real(p, labels))[1]
+    )
+    est = estimate_kstar(ps, B=6, subsample=20, seed=3)
+    assert len(rows) == 6 and max(rows) <= 20
+    assert est.per_replicate == replicate_loop(ps, 6, 20, 3)
 
 
 CUTOFFS = [DEFAULT_MEAN_CUT, DEFAULT_CV_CUT, 0.0, 0.3, 1.0, -0.5, np.inf, -np.inf]
