@@ -3,6 +3,7 @@ final labels, report co-association matrix, candidate partitions, merge
 heights and merge pairs bit for bit, at one thread and at two."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,37 @@ def test_subsampled_replicates_match_golden(threads):
     assert len(votes.per_replicate) == 100
     assert sha256(np.asarray(votes.per_replicate), "<i8") == per_replicate_sha
     assert sha256(np.array(sorted(votes.frequencies.items())), "<f8") == frequencies_sha
+
+
+# SHA-256 of the final labels (int64), the report psi (float64) and every
+# candidate partition's labels concatenated in candidate order (int64) of a
+# standardized run on blobs_with_duplicates() plus one constant column,
+# recorded with the standardize that warned through the warnings module and
+# a run_kmh that silenced it and recomputed the zero-variance columns.
+STANDARDIZE_GOLDEN = (
+    4,
+    ["zero-variance columns left unscaled: [3]"],
+    "dff0c4474227e8f4a9e0f4d46a7785e3998434568475ad17e32ff6e71591e6df",
+    "ae0eea1cba476ca5e9544ff3fd02fe424978c5c429396830fa4c3680055832fc",
+    "71bd832b06a70b6a27da47c5bd0bcb3ae778313571a969efe1dd863acc89068a",
+)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_standardized_run_matches_golden(threads):
+    base = blobs_with_duplicates()
+    data = DataMatrix(np.column_stack([base.values, np.full(base.n, 2.5)]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_kmh(data, KmhConfig(standardize=True, threads=threads))
+    assert caught == []  # the constant column is reported in report.warnings only
+    kstar, messages, labels_sha, psi_sha, candidates_sha = STANDARDIZE_GOLDEN
+    assert report.chosen_kstar == kstar
+    assert report.warnings == messages
+    assert sha256(report.final_partition.labels, "<i8") == labels_sha
+    assert sha256(report.similarity.psi, "<f8") == psi_sha
+    candidates = [c.partition.labels for c in report.candidate_partitions]
+    assert sha256(np.concatenate(candidates), "<i8") == candidates_sha
 
 
 def three_values() -> DataMatrix:
