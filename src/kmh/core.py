@@ -98,29 +98,9 @@ class Partition:
         return cls(inverse.reshape(labels.shape) + int(ids.size and ids[0] != 0))
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Co-occurrence counts between the groups of two partitions."""
-
-    counts: np.ndarray
-    row_labels: np.ndarray
-    col_labels: np.ndarray
-
-    @property
-    def row_marginals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_marginals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def contingency(p1: Partition, p2: Partition) -> ContingencyTable:
-    """Cross-tabulate two partitions of the same observations.
+def contingency(p1: Partition, p2: Partition) -> np.ndarray:
+    """Cross-tabulate two partitions of the same observations: a read-only
+    array of co-occurrence counts.
 
     Rows index the groups of ``p1``, columns those of ``p2``, both in
     ascending label order. The reserved label 0 is counted as an ordinary
@@ -131,8 +111,7 @@ def contingency(p1: Partition, p2: Partition) -> ContingencyTable:
     rows, r_idx = np.unique(p1.labels, return_inverse=True)
     cols, c_idx = np.unique(p2.labels, return_inverse=True)
     cells = np.bincount(r_idx * cols.size + c_idx, minlength=rows.size * cols.size)
-    counts = cells.reshape(rows.size, cols.size)
-    return ContingencyTable(_readonly(counts), _readonly(rows), _readonly(cols))
+    return _readonly(cells.reshape(rows.size, cols.size))
 
 
 def adjusted_rand_index(p1: Partition, p2: Partition) -> float:
@@ -142,7 +121,7 @@ def adjusted_rand_index(p1: Partition, p2: Partition) -> float:
     cluster ids; around zero for independent partitions. The reserved
     label 0 counts as one ordinary group, so every observation contributes.
     """
-    table = contingency(p1, p2)
+    counts = contingency(p1, p2)
     n = p1.n
     if n < 2:
         raise ValueError("need at least 2 observations")
@@ -151,9 +130,9 @@ def adjusted_rand_index(p1: Partition, p2: Partition) -> float:
         m = np.asarray(m, dtype=float)
         return m * (m - 1.0) / 2.0
 
-    sum_cells = pairs(table.counts).sum()
-    sum_rows = pairs(table.row_marginals).sum()
-    sum_cols = pairs(table.col_marginals).sum()
+    sum_cells = pairs(counts).sum()
+    sum_rows = pairs(counts.sum(axis=1)).sum()
+    sum_cols = pairs(counts.sum(axis=0)).sum()
     total = n * (n - 1.0) / 2.0
     expected = sum_rows * sum_cols / total
     maximum = 0.5 * (sum_rows + sum_cols)

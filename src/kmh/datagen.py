@@ -60,11 +60,9 @@ def gen_banana_spheres(
     ring_radius: float = 6.0,
     arc_radius: float = 2.0,
     noise_sd: float = 0.35,
-    outliers_as_scatter: bool = False,
 ) -> LabeledDataset:
     """Two facing half-ring arcs (groups 1-2) inside a full ring (group 3),
-    plus uniform outliers carrying the label of the group they are
-    attributed to (or scatter with outliers_as_scatter)."""
+    plus uniform outliers labelled 1, 2, 3, 1, ... in turn."""
     if n_banana < 10 or n_ring < 10:
         raise ValueError("component sizes must be >= 10")
     rng = generator(seed)
@@ -76,13 +74,8 @@ def gen_banana_spheres(
     labels = np.repeat([1, 2, 3], [n_banana, n_banana, n_ring])
 
     if n_outliers > 0:
-        outliers = _uniform_outliers(rng, n_outliers, body)
-        if outliers_as_scatter:
-            out_labels = np.zeros(n_outliers, dtype=np.int64)
-        else:
-            out_labels = 1 + np.arange(n_outliers) % 3
-        body = np.vstack([body, outliers])
-        labels = np.concatenate([labels, out_labels])
+        body = np.vstack([body, _uniform_outliers(rng, n_outliers, body)])
+        labels = np.concatenate([labels, 1 + np.arange(n_outliers) % 3])
 
     desc = (
         f"banana_spheres(n_banana={n_banana}, n_ring={n_ring}, n_outliers={n_outliers}, "

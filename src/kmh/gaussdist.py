@@ -1,9 +1,9 @@
 """Probabilistic distance between spherical Gaussian entities.
 
-An entity is a K-means cluster summarized by (mean, spherical variance,
-size). The distance between entities l and j is 1 - (p_lj + p_jl)/2, where
-p_jl is the probability that a point drawn from l's Gaussian is closer (in
-variance-scaled squared distance) to j's center than to its own. The
+An entity is a K-means cluster summarized by its mean and spherical
+variance. The distance between entities l and j is 1 - (p_lj + p_jl)/2,
+where p_jl is the probability that a point drawn from l's Gaussian is closer
+(in variance-scaled squared distance) to j's center than to its own. The
 probabilities come from a noncentral chi-square law in the unequal-variance
 case and a plain normal in the equal-variance case.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln, ndtr
 
-# "auto" sums the exact Poisson-mixture series up to this df+ncp and uses
+# the CDF sums the exact Poisson-mixture series up to this df+ncp and uses
 # Sankaran's approximation above it; the switch is for cost (the series has
 # ~ncp/2 terms), not accuracy, and Sankaran is within ~2e-6 from here on
 SERIES_LIMIT = 2000.0
@@ -27,11 +27,11 @@ EQUAL_VAR_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class SphericalCluster:
-    """Mean vector, spherical variance and member count of one entity."""
+    """Mean vector and spherical variance of one entity: all the merge
+    distance reads of a K-means cluster."""
 
     mean: np.ndarray
     sigma2: float
-    size: int
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -41,8 +41,6 @@ class SphericalCluster:
             raise ValueError("mean contains non-finite entries")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
@@ -59,18 +57,17 @@ def variance_floor(data) -> float:
     return floor if floor > 0 else 1e-12
 
 
-def fit_entity(data, member_indices, floor: float | None = None) -> SphericalCluster:
+def fit_entity(data, member_indices, floor: float) -> SphericalCluster:
     """Summarize the given observations as one spherical entity.
 
     sigma2 is the trace of the sample covariance (divisor n-1) scaled by
-    1/p, floored at a tiny fraction of the overall data variance so that
-    singleton or collinear entities stay usable.
+    1/p, floored at `floor` so that singleton or collinear entities stay
+    usable; `variance_floor(data)` gives the floor of the whole dataset,
+    computed once per run.
     """
     idx = np.asarray(member_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("entity needs at least one member")
-    if floor is None:
-        floor = variance_floor(data)
     xs = data.values[idx]
     mean = xs.mean(axis=0)
     if idx.size == 1:
@@ -78,7 +75,7 @@ def fit_entity(data, member_indices, floor: float | None = None) -> SphericalClu
     else:
         total_ss = float(((xs - mean) ** 2).sum())
         sigma2 = max(total_ss / ((idx.size - 1) * data.p), floor)
-    return SphericalCluster(mean, sigma2, int(idx.size))
+    return SphericalCluster(mean, sigma2)
 
 
 def _series_cdf(x: float, df: float, ncp: float) -> float:
@@ -109,18 +106,17 @@ def _normal_approx_cdf(x: float, df: float, ncp: float) -> float:
     return float(ndtr((shifted - centre) / scale))
 
 
-def noncentral_chisq_cdf(x: float, df: float, ncp: float, method: str = "auto") -> float:
+def noncentral_chisq_cdf(x: float, df: float, ncp: float) -> float:
     """CDF of the noncentral chi-square distribution.
 
-    method "auto" evaluates the exact Poisson-mixture series while
-    df + ncp <= SERIES_LIMIT and Sankaran's power-transform normal
-    approximation above. The series stays accurate at any ncp, but it sums
-    about ncp/2 + 12 sqrt(ncp/2) terms, so the switch saves time, not
-    digits. Over df 1-30, Sankaran is within ~2e-6 of the exact CDF at
-    ncp=1e3, ~7e-8 at 1e4 and ~1e-10 from 1e6 up to 1e11, past which
-    scipy's ncx2 returns NaN while Sankaran stays finite. It is poor at small ncp (~2e-3
-    at ncp=10), which is why "auto" keeps the series there.
-    "series"/"normal" force one evaluator; "normal" is Sankaran's.
+    Evaluates the exact Poisson-mixture series while df + ncp <=
+    SERIES_LIMIT and Sankaran's power-transform normal approximation above.
+    The series stays accurate at any ncp, but it sums about
+    ncp/2 + 12 sqrt(ncp/2) terms, so the switch saves time, not digits.
+    Over df 1-30, Sankaran is within ~2e-6 of the exact CDF at ncp=1e3,
+    ~7e-8 at 1e4 and ~1e-10 from 1e6 up to 1e11, past which scipy's ncx2
+    returns NaN while Sankaran stays finite. It is poor at small ncp
+    (~2e-3 at ncp=10), which is why the series covers that range.
     """
     if df < 1:
         raise ValueError("df must be >= 1")
@@ -128,13 +124,9 @@ def noncentral_chisq_cdf(x: float, df: float, ncp: float, method: str = "auto") 
         raise ValueError("ncp must be >= 0")
     if x <= 0:
         return 0.0
-    if method == "auto":
-        method = "series" if df + ncp <= SERIES_LIMIT else "normal"
-    if method == "series":
+    if df + ncp <= SERIES_LIMIT:
         return _series_cdf(x, df, ncp)
-    if method == "normal":
-        return _normal_approx_cdf(x, df, ncp)
-    raise ValueError(f"unknown method {method!r}")
+    return _normal_approx_cdf(x, df, ncp)
 
 
 def misclass_prob(from_cluster: SphericalCluster, into_cluster: SphericalCluster) -> float:

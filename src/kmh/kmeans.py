@@ -252,34 +252,28 @@ def krzanowski_from_traces(k_values, traces, p: int, M: int):
 
 def krzanowski_candidates(
     data: DataMatrix,
-    k_range,
+    kmax: int,
     M: int,
-    starts: int = KMEANS_STARTS,
     seed: Seed = 0,
     threads: int = 1,
 ):
     """Rank candidate over-segmentation sizes by the Diff(K) ratio criterion.
 
-    Runs best-of-`starts` K-means for every K in `k_range` (consecutive
-    ascending; a leading K=1 is implied when the range starts at 2, since
-    the K=1 trace is just the total scatter). Returns (KrzanowskiTrace,
-    candidates, results), results a dict K -> KMeansResult.
+    Runs best-of-KMEANS_STARTS K-means for every K in 1..kmax, K from
+    child K-1 of `seed`, on `threads` workers (the K=1 trace is just the
+    total scatter). Returns (KrzanowskiTrace, candidates, results), results
+    a dict K -> KMeansResult.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    k_range = [int(k) for k in k_range]
-    if k_range and k_range[0] == 2:
-        k_range = [1] + k_range
-    if len(k_range) < 3:
-        raise ValueError("k_range too short to form any Diff ratio")
+    if kmax < 3:
+        raise ValueError(f"kmax={kmax} is too small to form any Diff ratio")
 
-    children = spawn(seed, len(k_range))
+    k_range = range(1, kmax + 1)
+    children = spawn(seed, kmax)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         runs = list(
-            pool.map(
-                lambda kc: best_of(data, kc[0], starts=starts, seed=kc[1]),
-                zip(k_range, children),
-            )
+            pool.map(lambda kc: best_of(data, kc[0], seed=kc[1]), zip(k_range, children))
         )
     results: dict[int, KMeansResult] = dict(zip(k_range, runs))
     traces = [res.wgss for res in runs]

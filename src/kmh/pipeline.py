@@ -4,7 +4,6 @@ entity merging, consensus on the cluster count, and final selection."""
 from __future__ import annotations
 
 import time
-import warnings as _warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -123,24 +122,17 @@ class KmhReport:
     timings: dict = field(default_factory=dict)
 
 
-def constant_columns(data: DataMatrix) -> list:
-    sd = data.values.std(axis=0, ddof=1)
-    return [int(i) for i in np.flatnonzero(sd == 0.0)]
-
-
-def standardize(data: DataMatrix) -> DataMatrix:
+def standardize(data: DataMatrix) -> tuple[DataMatrix, list[int]]:
     """Center each column and scale to unit variance (divisor n-1).
 
-    Zero-variance columns pass through untouched, with a warning.
+    Returns the standardized data and the indices of the zero-variance
+    columns, which pass through untouched.
     """
     x = data.values.copy()
     sd = x.std(axis=0, ddof=1)
     scale = sd > 0.0
-    if not scale.all():
-        bad = np.flatnonzero(~scale).tolist()
-        _warnings.warn(f"columns {bad} have zero variance and were left unscaled")
     x[:, scale] = (x[:, scale] - x[:, scale].mean(axis=0)) / sd[scale]
-    return DataMatrix(x)
+    return DataMatrix(x), np.flatnonzero(~scale).tolist()
 
 
 def _to_full_partition(core_labels: np.ndarray, core_indices: np.ndarray, n: int) -> Partition:
@@ -186,12 +178,9 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
 
     t = time.monotonic()
     if cfg.standardize:
-        const = constant_columns(data)
-        if const:
-            warnings.append(f"zero-variance columns left unscaled: {const}")
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            data = standardize(data)
+        data, unscaled = standardize(data)
+        if unscaled:
+            warnings.append(f"zero-variance columns left unscaled: {unscaled}")
     timings["standardize"] = time.monotonic() - t
 
     t = time.monotonic()
@@ -205,14 +194,12 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
 
     t = time.monotonic()
     kmax = min(cfg.G, core_data.n_distinct)
+    if cfg.kstar_known is not None and cfg.kstar_known > kmax:
+        raise KmhError(f"known kstar={cfg.kstar_known} exceeds the largest K0={kmax}")
     krz_trace = None
     if kmax >= 3:
         krz_trace, k0_candidates, results = krzanowski_candidates(
-            core_data,
-            range(2, kmax + 1),
-            M=cfg.M,
-            seed=stream_krz,
-            threads=cfg.threads,
+            core_data, kmax, M=cfg.M, seed=stream_krz, threads=cfg.threads
         )
         if len(k0_candidates) < cfg.M:
             warnings.append(
@@ -229,14 +216,13 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     floor = variance_floor(core_data)
     usable_k0: list[int] = []
     for k0 in k0_candidates:
-        if k0 > n_star:
-            warnings.append(f"K0={k0} exceeds n*={n_star}; skipped")
-        elif cfg.kstar_known is not None and cfg.kstar_known > k0:
+        if cfg.kstar_known is not None and cfg.kstar_known > k0:
             warnings.append(f"K0={k0} below known kstar={cfg.kstar_known}; skipped")
         else:
             usable_k0.append(k0)
     if not usable_k0:
-        raise KmhError("no usable K0 candidate remains")
+        warnings.append(f"no K0 candidate reaches known kstar={cfg.kstar_known}; using K0={kmax}")
+        usable_k0 = [kmax]
 
     merge_traces: dict[int, MergeTrace] = {
         k0: _entity_phase(core_data, results[k0], floor) for k0 in usable_k0

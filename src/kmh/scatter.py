@@ -31,15 +31,15 @@ def remove_scatter(
     data: DataMatrix,
     G: int,
     frac: float = 0.001,
-    starts: int | None = None,
     seed: Seed = 0,
 ) -> ScatterResult:
-    """Run G-means and drop observations in clusters smaller than frac*n.
+    """Run best-of-`default_scatter_starts` G-means and drop observations
+    in clusters smaller than frac*n.
 
     The size test is strict (< frac*n), so with frac=0.001 nothing is
     removed below n=1001 and singletons go first at n=2000. When
     frac*n <= 1 no group can be that small, so the G-means run is skipped
-    and every row is core. `starts` defaults to `default_scatter_starts`.
+    and every row is core.
     """
     if not (2 <= G <= data.n_distinct):
         raise ValueError(f"G={G} out of range for {data.n_distinct} distinct rows")
@@ -49,9 +49,8 @@ def remove_scatter(
     idx = np.arange(data.n)
     if threshold <= 1.0:
         return ScatterResult(idx, idx[:0])
-    if starts is None:
-        starts = default_scatter_starts(data.n, data.p)
 
+    starts = default_scatter_starts(data.n, data.p)
     labels = best_of(data, G, starts=starts, seed=seed).partition.labels
     sizes = np.bincount(labels, minlength=G + 1)
     small = np.flatnonzero(sizes < threshold)

@@ -6,7 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
+from scipy.stats import ncx2
 
 from kmh.core import DataMatrix
 from kmh.gaussdist import (
@@ -24,8 +27,8 @@ from kmh.gaussdist import (
 _MC_CHUNK = 250_000
 
 
-def sph(mean, sigma2, size=10):
-    return SphericalCluster(np.asarray(mean, dtype=float), sigma2, size)
+def sph(mean, sigma2):
+    return SphericalCluster(np.asarray(mean, dtype=float), sigma2)
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,7 @@ class TestNoncentralChisq:
         # F(x) = Phi(sqrt(x) - sqrt(ncp)) - Phi(-sqrt(x) - sqrt(ncp))
         for x, ncp in [(1.0, 1.0), (2.5, 0.5), (0.3, 4.0)]:
             want = ndtr(math.sqrt(x) - math.sqrt(ncp)) - ndtr(-math.sqrt(x) - math.sqrt(ncp))
-            assert noncentral_chisq_cdf(x, 1, ncp, method="series") == pytest.approx(
-                want, abs=1e-10
-            )
-
-    def test_series_matches_normal_for_large_ncp(self):
-        got_s = noncentral_chisq_cdf(210.0, 10, 200.0, method="series")
-        got_n = noncentral_chisq_cdf(210.0, 10, 200.0, method="normal")
-        assert abs(got_s - got_n) < 0.01
+            assert noncentral_chisq_cdf(x, 1, ncp) == pytest.approx(want, abs=1e-10)
 
     def test_monotone_in_x(self):
         xs = np.linspace(0, 400, 100)
@@ -130,21 +126,17 @@ class TestNoncentralChisq:
             noncentral_chisq_cdf(1.0, 0, 0.5)
 
     def test_matches_scipy_reference(self):
-        from scipy.stats import ncx2
-
         rng = np.random.default_rng(0)
         for _ in range(40):
             df = int(rng.integers(1, 30))
             ncp = float(rng.uniform(0, 500))
             x = float(rng.uniform(0, df + ncp + 4 * math.sqrt(df + ncp)))
             want = ncx2.cdf(x, df, ncp) if ncp > 0 else None
-            got = noncentral_chisq_cdf(x, df, ncp, method="series")
+            got = noncentral_chisq_cdf(x, df, ncp)
             if want is not None:
                 assert got == pytest.approx(want, abs=1e-8)
 
     def test_auto_above_series_limit_matches_scipy(self):
-        from scipy.stats import ncx2
-
         for df in (1, 2, 5, 10, 30):
             for ncp in (2e3, 1e4, 1e5, 1e6, 1e7, 1e9):
                 assert df + ncp > SERIES_LIMIT
@@ -168,6 +160,42 @@ class TestNoncentralChisq:
         vals = [noncentral_chisq_cdf(x, 2, 1e12) for x in xs]
         assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+# largest |CDF - scipy ncx2.cdf| allowed on each side of SERIES_LIMIT: the
+# series is exact, and Sankaran's approximation is within ~2e-6 from the
+# limit up (see noncentral_chisq_cdf)
+SERIES_ABS = 1e-10
+SANKARAN_ABS = 2e-6
+
+
+@st.composite
+def cdf_args(draw, log10_ncp_min: float, log10_ncp_max: float):
+    """(x, df, ncp) with ncp log-uniform in the given decades and x within
+    10 standard deviations of the mean df + ncp."""
+    df = draw(st.integers(1, 30))
+    ncp = 10.0 ** draw(st.floats(log10_ncp_min, log10_ncp_max))
+    z = draw(st.floats(-10.0, 10.0))
+    return df + ncp + z * math.sqrt(2.0 * (df + 2.0 * ncp)), df, ncp
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(args=cdf_args(-3.0, math.log10(SERIES_LIMIT - 30.0)))
+def test_series_side_matches_scipy(args):
+    x, df, ncp = args
+    assert df + ncp <= SERIES_LIMIT
+    want = ncx2.cdf(x, df, ncp)
+    assert noncentral_chisq_cdf(x, df, ncp) == pytest.approx(want, abs=SERIES_ABS)
+
+
+# scipy's ncx2 returns NaN from ncp ~ 1e11, so the reference stops at 1e10
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(args=cdf_args(math.log10(SERIES_LIMIT), 10.0))
+def test_sankaran_side_matches_scipy(args):
+    x, df, ncp = args
+    assert df + ncp > SERIES_LIMIT
+    want = ncx2.cdf(x, df, ncp)
+    assert noncentral_chisq_cdf(x, df, ncp) == pytest.approx(want, abs=SANKARAN_ABS)
 
 
 class TestMisclassProb:
@@ -224,8 +252,6 @@ class TestMisclassProb:
         # X = mu_l + s_l Z is scored closer to mu_j iff
         # (r-1) ||Z + c||^2 < (r-1) x0 with r = s_l^2/s_j^2, where
         # ||Z + c||^2 ~ ncx2(p, s_l^2 D^2/gap^2) and x0 = s_j^2 D^2/gap^2
-        from scipy.stats import ncx2
-
         dist_sq = float((l.mean - j.mean) @ (l.mean - j.mean))
         gap = l.sigma2 - j.sigma2
         x0 = j.sigma2 * dist_sq / gap**2
@@ -321,14 +347,13 @@ class TestEntityDistanceMatrix:
 class TestFitEntity:
     def test_single_point_gets_floor(self):
         data = DataMatrix(np.array([[0.0, 0], [1, 1], [2, 2]]))
-        ent = fit_entity(data, [1])
+        ent = fit_entity(data, [1], variance_floor(data))
         assert np.allclose(ent.mean, [1, 1])
         assert ent.sigma2 == variance_floor(data)
-        assert ent.size == 1
 
     def test_square_hand_value(self):
         data = DataMatrix(np.array([[0.0, 0], [2, 0], [0, 2], [2, 2]]))
-        ent = fit_entity(data, [0, 1, 2, 3])
+        ent = fit_entity(data, [0, 1, 2, 3], variance_floor(data))
         assert np.allclose(ent.mean, [1, 1])
         assert ent.sigma2 == pytest.approx(4.0 / 3.0)
 
@@ -336,10 +361,10 @@ class TestFitEntity:
         rng = np.random.default_rng(7)
         pts = rng.normal(0.0, 2.0, size=(10**5, 3))
         data = DataMatrix(pts)
-        ent = fit_entity(data, np.arange(10**5))
+        ent = fit_entity(data, np.arange(10**5), variance_floor(data))
         assert ent.sigma2 == pytest.approx(4.0, rel=0.05)
 
     def test_empty_rejected(self):
         data = DataMatrix(np.eye(3))
         with pytest.raises(ValueError):
-            fit_entity(data, [])
+            fit_entity(data, [], variance_floor(data))

@@ -10,7 +10,7 @@ import pytest
 
 from kmh.core import DataMatrix
 from kmh.datagen import gen_bullseye, gen_gaussian_blobs
-from kmh.pipeline import KmhConfig, run_kmh
+from kmh.pipeline import KmhConfig, KmhError, run_kmh
 
 
 def blobs_with_duplicates() -> DataMatrix:
@@ -188,3 +188,24 @@ def test_duplicate_heavy_input_caps_default_g():
 def test_bad_config_fails_before_clustering(config, message):
     with pytest.raises(ValueError, match=message):
         run_kmh(three_values(), config)
+
+
+@pytest.mark.parametrize("kstar", [3, 5, 10])
+def test_known_kstar_above_every_candidate_falls_back_to_kmax(kstar):
+    # M=1 and G=10 here, and the one Diff-ratio candidate is K0=2
+    data = DataMatrix(np.random.default_rng(0).normal(size=(100, 2)))
+    report = run_kmh(data, KmhConfig(kstar_known=kstar))
+    assert report.k0_candidates == [10]
+    assert report.warnings == [
+        f"K0=2 below known kstar={kstar}; skipped",
+        f"no K0 candidate reaches known kstar={kstar}; using K0=10",
+    ]
+    assert report.chosen_kstar == report.final_partition.K == kstar
+
+
+def test_known_kstar_above_kmax_fails_before_the_k_sweep(monkeypatch):
+    # scatter removal leaves 3 distinct core rows, so kmax=3 < kstar=5 <= G=5
+    rows = np.vstack([np.repeat(np.eye(3, 2), 6, axis=0), [[40.0, 40.0], [-40.0, 40.0]]])
+    monkeypatch.setattr("kmh.pipeline.krzanowski_candidates", None)
+    with pytest.raises(KmhError, match="known kstar=5 exceeds the largest K0=3"):
+        run_kmh(DataMatrix(rows), KmhConfig(G=5, kstar_known=5, scatter_frac=0.2))

@@ -11,7 +11,7 @@ from kmh.scatter import default_scatter_starts, remove_scatter
 def test_threshold_below_one_removes_nothing():
     rng = np.random.default_rng(0)
     data = DataMatrix(rng.normal(size=(400, 2)))
-    res = remove_scatter(data, G=10, frac=0.001, starts=3, seed=1)
+    res = remove_scatter(data, G=10, frac=0.001, seed=1)
     # 0.1% of 400 = 0.4 < 1, so every nonempty cluster survives
     assert res.scatter_indices.size == 0
     assert res.n_star == 400
@@ -36,7 +36,7 @@ def test_singletons_removed_at_n2000_threshold():
     body = rng.normal(size=(1997, 2))
     isolated = np.array([[60.0, 60.0], [-55.0, 40.0], [70.0, -65.0]])
     data = DataMatrix(np.vstack([body, isolated]))
-    res = remove_scatter(data, G=25, frac=0.001, starts=8, seed=2)
+    res = remove_scatter(data, G=25, frac=0.001, seed=2)
     # isolated points end up in singleton clusters of size 1 < 2.0
     assert {1997, 1998, 1999} <= set(res.scatter_indices.tolist())
 
@@ -44,7 +44,7 @@ def test_singletons_removed_at_n2000_threshold():
 def test_partition_of_indices():
     rng = np.random.default_rng(2)
     data = DataMatrix(rng.normal(size=(100, 2)))
-    res = remove_scatter(data, G=5, frac=0.05, starts=2, seed=3)
+    res = remove_scatter(data, G=5, frac=0.05, seed=3)
     merged = np.sort(np.concatenate([res.core_indices, res.scatter_indices]))
     assert np.array_equal(merged, np.arange(100))
     assert res.n_star == res.core_indices.size
@@ -53,8 +53,8 @@ def test_partition_of_indices():
 def test_deterministic():
     rng = np.random.default_rng(3)
     data = DataMatrix(rng.normal(size=(300, 3)))
-    a = remove_scatter(data, G=8, frac=0.01, starts=4, seed=9)
-    b = remove_scatter(data, G=8, frac=0.01, starts=4, seed=9)
+    a = remove_scatter(data, G=8, frac=0.01, seed=9)
+    b = remove_scatter(data, G=8, frac=0.01, seed=9)
     assert np.array_equal(a.core_indices, b.core_indices)
 
 
@@ -62,7 +62,7 @@ def test_retained_floor():
     rng = np.random.default_rng(4)
     data = DataMatrix(rng.normal(size=(500, 2)))
     G, frac = 15, 0.01
-    res = remove_scatter(data, G=G, frac=frac, starts=3, seed=4)
+    res = remove_scatter(data, G=G, frac=frac, seed=4)
     assert res.n_star >= 500 * (1 - G * frac)
 
 
