@@ -7,10 +7,8 @@ from .core import DataMatrix, Partition, adjusted_rand_index, contingency
 from .datagen import gen_banana_spheres, gen_bullseye, gen_gaussian_blobs
 from .gaussdist import (
     SphericalCluster,
-    cluster_distance,
     entity_distance_matrix,
     fit_entity,
-    misclass_prob,
     noncentral_chisq_cdf,
 )
 from .pipeline import KmhConfig, KmhError, KmhReport, run_kmh, standardize
@@ -24,10 +22,8 @@ __all__ = [
     "gen_bullseye",
     "gen_gaussian_blobs",
     "SphericalCluster",
-    "cluster_distance",
     "entity_distance_matrix",
     "fit_entity",
-    "misclass_prob",
     "noncentral_chisq_cdf",
     "KmhConfig",
     "KmhError",

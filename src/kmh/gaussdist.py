@@ -2,10 +2,10 @@
 
 An entity is a K-means cluster summarized by its mean and spherical
 variance. The distance between entities l and j is 1 - (p_lj + p_jl)/2,
-where p_jl is the probability that a point drawn from l's Gaussian is closer
-(in variance-scaled squared distance) to j's center than to its own. The
-probabilities come from a noncentral chi-square law in the unequal-variance
-case and a plain normal in the equal-variance case.
+where p_lj is the probability that a point drawn from l's Gaussian is closer
+(in variance-scaled squared distance) to j's center than to its own.
+`misclass_matrix` gives every p_lj at once: a plain normal, in array form,
+for equal-variance pairs and a noncentral chi-square law for the others.
 """
 
 from __future__ import annotations
@@ -39,14 +39,10 @@ class SphericalCluster:
             raise ValueError("mean must be a vector")
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean contains non-finite entries")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+        if not self.sigma2 > 0:
+            raise ValueError("sigma2 must be > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sigma2", float(self.sigma2))
-
-    @property
-    def p(self) -> int:
-        return self.mean.size
 
 
 def variance_floor(data) -> float:
@@ -129,50 +125,42 @@ def noncentral_chisq_cdf(x: float, df: float, ncp: float) -> float:
     return _normal_approx_cdf(x, df, ncp)
 
 
-def misclass_prob(from_cluster: SphericalCluster, into_cluster: SphericalCluster) -> float:
-    """Probability that a point of `from_cluster` is scored closer to
-    `into_cluster`'s center than to its own.
+def misclass_matrix(entities) -> np.ndarray:
+    """(K, K) matrix of p_lj: the probability that a point of entity l is
+    scored closer to entity j's center than to its own.
 
-    Equal-variance entities give Pr[N(D^2, 4 D^2) < 0] with D the
-    variance-scaled center separation (0.5 at D=0 by continuity);
-    otherwise the probability comes from a scaled, shifted noncentral
-    chi-square with noncentrality s_l^2 ||mu_l-mu_j||^2 / (s_l^2-s_j^2)^2.
+    Equal-variance pairs give Pr[N(D^2, 4 D^2) < 0] with D the
+    variance-scaled center separation (0.5 at D=0, as on the diagonal);
+    the others a scaled, shifted noncentral chi-square with noncentrality
+    s_l^2 ||mu_l-mu_j||^2 / (s_l^2-s_j^2)^2. Ragged means raise ValueError.
     """
-    l, j = from_cluster, into_cluster
-    if l.p != j.p:
-        raise ValueError(f"dimension mismatch: {l.p} vs {j.p}")
-    if l.sigma2 <= 0 or j.sigma2 <= 0:
-        raise ValueError("entity variances must be positive")
+    means = np.stack([e.mean for e in entities])
+    sigma2 = np.array([e.sigma2 for e in entities])
+    diff = means[:, None, :] - means[None, :, :]
+    # unlike einsum, a stacked matmul rounds each pair as `diff @ diff` does
+    dist_sq = np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0]
+    gap = sigma2[:, None] - sigma2[None, :]
+    equal = np.abs(gap) <= EQUAL_VAR_RTOL * np.maximum(sigma2[:, None], sigma2[None, :])
+    prob = ndtr(-np.sqrt(dist_sq / sigma2[:, None]) / 2.0)
 
-    diff = l.mean - j.mean
-    dist_sq = float(diff @ diff)
-    if abs(l.sigma2 - j.sigma2) <= EQUAL_VAR_RTOL * max(l.sigma2, j.sigma2):
-        if dist_sq == 0.0:
-            return 0.5
-        delta = np.sqrt(dist_sq / l.sigma2)
-        return float(ndtr(-delta / 2.0))
-
-    gap = l.sigma2 - j.sigma2
-    x0 = j.sigma2 * dist_sq / gap**2
-    ncp = l.sigma2 * dist_sq / gap**2
-    cdf = noncentral_chisq_cdf(x0, l.p, ncp) if x0 > 0 else 0.0
-    if gap > 0:  # scale (s_l^2/s_j^2 - 1) positive
-        return cdf
-    return 1.0 - cdf
-
-
-def cluster_distance(a: SphericalCluster, b: SphericalCluster) -> float:
-    """Merge distance 1 - (p_ab + p_ba)/2, symmetric and in [0, 1]."""
-    return 1.0 - 0.5 * (misclass_prob(a, b) + misclass_prob(b, a))
+    # unequal pairs stay per pair in Python floats: numpy's power, log1p and
+    # expm1 round unlike Python's and math's (on ~0.1% and 1-5% of values)
+    s2, d2 = sigma2.tolist(), dist_sq.tolist()
+    for l, j in np.argwhere(~equal).tolist():
+        gap_lj = s2[l] - s2[j]
+        x0 = s2[j] * d2[l][j] / gap_lj**2
+        ncp = s2[l] * d2[l][j] / gap_lj**2
+        cdf = noncentral_chisq_cdf(x0, means.shape[1], ncp) if x0 > 0 else 0.0
+        prob[l, j] = cdf if gap_lj > 0 else 1.0 - cdf
+    return prob
 
 
 def entity_distance_matrix(entities) -> np.ndarray:
-    """Symmetric pairwise distance matrix over entities, zero diagonal."""
-    K = len(entities)
-    if K < 2:
+    """Merge distances 1 - (p_lj + p_jl)/2 over entities: symmetric, in
+    [0, 1], zero diagonal."""
+    if len(entities) < 2:
         raise ValueError("need at least 2 entities")
-    d = np.zeros((K, K))
-    for i in range(K):
-        for j in range(i + 1, K):
-            d[i, j] = d[j, i] = cluster_distance(entities[i], entities[j])
+    prob = misclass_matrix(entities)
+    d = 1.0 - 0.5 * (prob + prob.T)
+    np.fill_diagonal(d, 0.0)
     return d

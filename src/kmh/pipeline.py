@@ -30,7 +30,7 @@ DEFAULT_SUBSAMPLE_CAP = 500
 
 
 class KmhError(RuntimeError):
-    """Raised when no candidate over-segmentation survives."""
+    """Raised when the data and settings admit no run: too few distinct core rows, or K* too high."""
 
 
 def default_m(n: int, p: int) -> int:
@@ -186,9 +186,10 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     t = time.monotonic()
     scat = remove_scatter(data, cfg.G, frac=cfg.scatter_frac, seed=stream_scatter)
     core_indices = scat.core_indices
-    if core_indices.size < 2:
-        raise KmhError("fewer than 2 observations remain after scatter removal")
-    core_data = DataMatrix(data.values[core_indices])
+    core = data.values[core_indices]
+    if not (core[1:] != core[:1]).any():
+        raise KmhError("fewer than 2 distinct observations remain after scatter removal")
+    core_data = DataMatrix(core)
     n_star = core_data.n
     timings["scatter"] = time.monotonic() - t
 

@@ -10,7 +10,6 @@ import pytest
 from scipy.cluster.hierarchy import leaves_list, linkage
 
 from kmh.cli import (
-    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     FLOAT_FMT,
@@ -162,12 +161,42 @@ def test_linkage_cutoffs_need_two_values(bullseye_csv, tmp_path, capsys, cutoffs
     assert not (tmp_path / "out").exists()
 
 
-def test_pipeline_failure_exits_1(bullseye_csv, tmp_path, capsys):
+def test_pipeline_failure_exits_2(bullseye_csv, tmp_path, capsys):
     # every 9-means group holds fewer than 0.9 * 90 rows, so all are scatter
     argv = ["run", "--input", str(bullseye_csv), "--output-dir", str(tmp_path / "out")]
-    assert main(argv + ["--truth-col", "2", "--scatter-frac", "0.9"]) == EXIT_INTERNAL
-    assert "fewer than 2 observations remain" in capsys.readouterr().err
+    assert main(argv + ["--truth-col", "2", "--scatter-frac", "0.9"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fewer than 2 distinct observations remain" in err
     assert not (tmp_path / "out").exists()
+
+
+# scatter removal drops the 10 singletons and leaves 1990 equal rows
+ONE_DISTINCT_CORE_ROW = np.vstack([np.zeros((1990, 2)), np.arange(1, 11)[:, None] * [[50.0, -30.0]]])
+# scatter removal leaves 3 distinct core rows, so kmax=3 < kstar=5 <= G=5
+THREE_CORE_VALUES = np.vstack(
+    [np.repeat([[0.0, 0.0], [5.0, 5.0], [10.0, 0.0]], 6, axis=0), [[100.0, 100.0], [-100.0, 80.0]]]
+)
+
+
+@pytest.mark.parametrize(
+    "rows, extra, message",
+    [
+        (ONE_DISTINCT_CORE_ROW, [], "fewer than 2 distinct observations remain"),
+        (
+            THREE_CORE_VALUES,
+            ["--G", "5", "--kstar", "5", "--scatter-frac", "0.2"],
+            "known kstar=5 exceeds the largest K0=3",
+        ),
+    ],
+    ids=["one-distinct-core-row", "kstar-above-core-kmax"],
+)
+def test_core_rows_that_admit_no_run_exit_2(tmp_path, capsys, rows, extra, message):
+    path, out = tmp_path / "in.csv", tmp_path / "out"
+    np.savetxt(path, rows, delimiter=",")
+    assert main(["run", "--input", str(path), "--output-dir", str(out)] + extra) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
 
 
 def two_blobs_p1() -> np.ndarray:

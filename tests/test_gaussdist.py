@@ -1,5 +1,6 @@
 """Distance math: noncentral chi-square CDF, misclassification probabilities
-against closed forms and the Monte-Carlo quadratic-form oracle."""
+against closed forms, the Monte-Carlo quadratic-form oracle and, to the last
+bit, the scalar per-pair form the array kernel replaced."""
 
 import math
 from dataclasses import dataclass
@@ -16,10 +17,9 @@ from kmh.gaussdist import (
     EQUAL_VAR_RTOL,
     SERIES_LIMIT,
     SphericalCluster,
-    cluster_distance,
     entity_distance_matrix,
     fit_entity,
-    misclass_prob,
+    misclass_matrix,
     noncentral_chisq_cdf,
     variance_floor,
 )
@@ -29,6 +29,49 @@ _MC_CHUNK = 250_000
 
 def sph(mean, sigma2):
     return SphericalCluster(np.asarray(mean, dtype=float), sigma2)
+
+
+def pair_probs(a, b):
+    """(p_ab, p_ba): entries [0, 1] and [1, 0] of the kernel's matrix."""
+    prob = misclass_matrix([a, b])
+    return prob[0, 1], prob[1, 0]
+
+
+def pair_distances(a, b):
+    """Entries [0, 1] and [1, 0] of the merge distance matrix."""
+    d = entity_distance_matrix([a, b])
+    return d[0, 1], d[1, 0]
+
+
+def misclass_prob(from_cluster: SphericalCluster, into_cluster: SphericalCluster) -> float:
+    """Scalar oracle of one `misclass_matrix` entry: the per-pair form the
+    array kernel replaced, whose every bit the kernel must reproduce."""
+    l, j = from_cluster, into_cluster
+    diff = l.mean - j.mean
+    dist_sq = float(diff @ diff)
+    if abs(l.sigma2 - j.sigma2) <= EQUAL_VAR_RTOL * max(l.sigma2, j.sigma2):
+        if dist_sq == 0.0:
+            return 0.5
+        delta = np.sqrt(dist_sq / l.sigma2)
+        return float(ndtr(-delta / 2.0))
+
+    gap = l.sigma2 - j.sigma2
+    x0 = j.sigma2 * dist_sq / gap**2
+    ncp = l.sigma2 * dist_sq / gap**2
+    cdf = noncentral_chisq_cdf(x0, l.mean.size, ncp) if x0 > 0 else 0.0
+    if gap > 0:  # scale (s_l^2/s_j^2 - 1) positive
+        return cdf
+    return 1.0 - cdf
+
+
+def distance_matrix_oracle(entities) -> np.ndarray:
+    """The per-pair merge distance matrix the array form replaced."""
+    d = np.zeros((len(entities), len(entities)))
+    for i, a in enumerate(entities):
+        for j in range(i + 1, len(entities)):
+            b = entities[j]
+            d[i, j] = d[j, i] = 1.0 - 0.5 * (misclass_prob(a, b) + misclass_prob(b, a))
+    return d
 
 
 @dataclass(frozen=True)
@@ -56,9 +99,7 @@ def quadform_from_spherical(
     """Quadratic-form coefficients for a pair of spherical entities: all
     eigenvalues equal the variance ratio, deltas are the scaled mean gap."""
     l, j = from_cluster, into_cluster
-    if l.p != j.p:
-        raise ValueError(f"dimension mismatch: {l.p} vs {j.p}")
-    lambdas = np.full(l.p, l.sigma2 / j.sigma2)
+    lambdas = np.full(l.mean.size, l.sigma2 / j.sigma2)
     deltas = (l.mean - j.mean) / np.sqrt(l.sigma2)
     return QuadFormSpec(lambdas, deltas)
 
@@ -201,18 +242,18 @@ def test_sankaran_side_matches_scipy(args):
 class TestMisclassProb:
     def test_identical_clusters(self):
         c = sph([0, 0], 1.0)
-        assert misclass_prob(c, c) == 0.5
+        assert pair_probs(c, c) == (0.5, 0.5)
 
     def test_equal_sigma_delta_two(self):
         a = sph([0, 0], 1.0)
         b = sph([2, 0], 1.0)
-        assert misclass_prob(a, b) == pytest.approx(ndtr(-1.0), abs=1e-12)
+        for got in pair_probs(a, b):
+            assert got == pytest.approx(ndtr(-1.0), abs=1e-12)
 
     def test_concentric_smaller_into_larger(self):
         inner = sph([0, 0, 0], 1.0)
         outer = sph([0, 0, 0], 4.0)
-        assert misclass_prob(inner, outer) == 1.0
-        assert misclass_prob(outer, inner) == 0.0
+        assert pair_probs(inner, outer) == (1.0, 0.0)
 
     def test_translation_and_rotation_invariance(self):
         rng = np.random.default_rng(1)
@@ -227,17 +268,16 @@ class TestMisclassProb:
             ]
         )
         a, b = sph(np.zeros(3), 1.3), sph(mu, 0.6)
-        base = misclass_prob(a, b)
-        assert misclass_prob(sph(shift, 1.3), sph(mu + shift, 0.6)) == pytest.approx(base)
-        assert misclass_prob(sph(rot @ np.zeros(3), 1.3), sph(rot @ mu, 0.6)) == pytest.approx(
-            base
-        )
+        base = pair_probs(a, b)
+        assert pair_probs(sph(shift, 1.3), sph(mu + shift, 0.6)) == pytest.approx(base)
+        assert pair_probs(sph(rot @ np.zeros(3), 1.3), sph(rot @ mu, 0.6)) == pytest.approx(base)
 
     def test_equal_sigma_decreasing_in_delta(self):
         deltas = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
-        probs = [misclass_prob(sph([0.0], 1.0), sph([d], 1.0)) for d in deltas]
-        assert all(b < a for a, b in zip(probs, probs[1:]))
-        assert probs[0] == 0.5 and probs[-1] < 1e-4
+        for side in (0, 1):
+            probs = [pair_probs(sph([0.0], 1.0), sph([d], 1.0))[side] for d in deltas]
+            assert all(b < a for a, b in zip(probs, probs[1:]))
+            assert probs[0] == 0.5 and probs[-1] < 1e-4
 
     def test_monte_carlo_cross_check_equal_sigma(self):
         rng = np.random.default_rng(2)
@@ -245,7 +285,8 @@ class TestMisclassProb:
         into = np.array([2.0, 0.0])
         y = ((x - into) ** 2).sum(axis=1) - (x**2).sum(axis=1)
         mc = (y < 0).mean()
-        assert misclass_prob(sph([0, 0], 1.0), sph(into, 1.0)) == pytest.approx(mc, abs=0.002)
+        for got in pair_probs(sph([0, 0], 1.0), sph(into, 1.0)):
+            assert got == pytest.approx(mc, abs=0.002)
 
     @staticmethod
     def ncx2_misclass(l, j):
@@ -257,23 +298,23 @@ class TestMisclassProb:
         x0 = j.sigma2 * dist_sq / gap**2
         ncp = l.sigma2 * dist_sq / gap**2
         if gap > 0:
-            return ncx2.cdf(x0, l.p, ncp)
-        return ncx2.sf(x0, l.p, ncp)
+            return ncx2.cdf(x0, l.mean.size, ncp)
+        return ncx2.sf(x0, l.mean.size, ncp)
 
     def test_near_equal_variances_match_scipy(self):
         # ncp = 3600 and 3780: both directions go through the approximation
         a, b = sph([0, 0], 1.0), sph([3, 0], 1.05)
-        for l, j in ((a, b), (b, a)):
-            assert misclass_prob(l, j) == pytest.approx(self.ncx2_misclass(l, j), abs=1e-5)
+        for got, (l, j) in zip(pair_probs(a, b), ((a, b), (b, a))):
+            assert got == pytest.approx(self.ncx2_misclass(l, j), abs=1e-5)
 
     def test_variance_gap_past_rtol_meets_equal_variance_form(self):
         # gap 1e-5 gives ncp = 1.6e11, past where scipy's ncx2 is finite
         ratio = 1.0 + 1e-5
         assert ratio - 1.0 > EQUAL_VAR_RTOL * ratio
         a, b = sph([0, 0], 1.0), sph([4, 0], ratio)
-        for l, j in ((a, b), (b, a)):
+        for got, l in zip(pair_probs(a, b), (a, b)):
             delta = 4.0 / math.sqrt(l.sigma2)
-            assert misclass_prob(l, j) == pytest.approx(ndtr(-delta / 2.0), abs=1e-5)
+            assert got == pytest.approx(ndtr(-delta / 2.0), abs=1e-5)
 
 
 class TestTheorem1Oracle:
@@ -293,7 +334,9 @@ class TestTheorem1Oracle:
         spec = quadform_from_spherical(l, j)
         assert np.allclose(spec.lambdas, 0.25)
         got = theorem1_mc_cdf(spec, 0.0, draws=10**6, seed=4)
-        assert got == pytest.approx(misclass_prob(l, j), abs=0.005)
+        assert got == pytest.approx(pair_probs(l, j)[0], abs=0.005)
+        got = theorem1_mc_cdf(quadform_from_spherical(j, l), 0.0, draws=10**6, seed=4)
+        assert got == pytest.approx(pair_probs(l, j)[1], abs=0.005)
 
     def test_draw_floor_enforced(self):
         with pytest.raises(ValueError):
@@ -303,22 +346,23 @@ class TestTheorem1Oracle:
 class TestClusterDistance:
     def test_identical_entities(self):
         c = sph([1, 1], 2.0)
-        assert cluster_distance(c, c) == 0.5
+        assert pair_distances(c, c) == (0.5, 0.5)
 
     def test_equal_sigma_delta_two(self):
         a, b = sph([0, 0], 1.0), sph([2, 0], 1.0)
-        assert cluster_distance(a, b) == pytest.approx(1 - ndtr(-1.0), abs=1e-12)
+        for got in pair_distances(a, b):
+            assert got == pytest.approx(1 - ndtr(-1.0), abs=1e-12)
 
     def test_concentric(self):
-        assert cluster_distance(sph([0, 0], 1.0), sph([0, 0], 4.0)) == 0.5
+        assert pair_distances(sph([0, 0], 1.0), sph([0, 0], 4.0)) == (0.5, 0.5)
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             a = sph(rng.normal(size=4), float(rng.uniform(0.2, 3)))
             b = sph(rng.normal(size=4), float(rng.uniform(0.2, 3)))
-            d1, d2 = cluster_distance(a, b), cluster_distance(b, a)
-            assert d1 == d2
+            d1, d2 = pair_distances(a, b)
+            assert d1 == d2 == pair_distances(b, a)[0]
             assert 0.0 <= d1 <= 1.0
 
 
@@ -342,6 +386,53 @@ class TestEntityDistanceMatrix:
         ents = [sph(rng.normal(size=2), float(rng.uniform(0.5, 2))) for _ in range(6)]
         d = entity_distance_matrix(ents)
         assert np.array_equal(d, d.T)
+
+    def test_ragged_means_rejected(self):
+        ents = [sph([0.0, 0.0], 1.0), sph([1.0, 0.0, 0.0], 1.0)]
+        with pytest.raises(ValueError):
+            misclass_matrix(ents)
+        with pytest.raises(ValueError):
+            entity_distance_matrix(ents)
+
+
+def test_zero_variance_entity_rejected():
+    with pytest.raises(ValueError, match="sigma2 must be > 0"):
+        sph([0.0, 0.0], 0.0)
+
+
+@st.composite
+def entity_sets(draw):
+    """2-25 entities in p = 1-8. Variances are a common base times a factor
+    drawn from exact ties, relative gaps just inside and just outside
+    EQUAL_VAR_RTOL, and plain unequal ones; some means repeat earlier ones.
+    So the equal-variance form, the series and Sankaran's approximation all
+    run, as does the x0 = 0 shortcut of coincident centers."""
+    p = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 25))
+    base = draw(st.floats(1e-3, 1e3))
+    near = [1.0, 1.0 + 0.5 * EQUAL_VAR_RTOL, 1.0 + 2.0 * EQUAL_VAR_RTOL, 1.0 + 20.0 * EQUAL_VAR_RTOL]
+    factor = st.sampled_from(near) | st.floats(0.05, 20.0)
+    coord = st.floats(-50.0, 50.0)
+    entities = []
+    for _ in range(k):
+        if entities and draw(st.booleans()):
+            mean = entities[draw(st.integers(0, len(entities) - 1))].mean
+        else:
+            mean = [draw(coord) for _ in range(p)]
+        entities.append(sph(mean, base * draw(factor)))
+    return entities
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(entities=entity_sets())
+def test_kernel_matches_per_pair_oracle_bit_for_bit(entities):
+    want = np.array([[misclass_prob(l, j) for j in entities] for l in entities])
+    assert same_bits(misclass_matrix(entities), want)
+    assert same_bits(entity_distance_matrix(entities), distance_matrix_oracle(entities))
 
 
 class TestFitEntity:

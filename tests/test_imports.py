@@ -1,12 +1,15 @@
 """Import rules of the `kmh` package: every import sits at module level, no
-module imports another module's `_private` names, and importing the CLI
-loads nothing beyond numpy, scipy and the standard library."""
+module imports another module's `_private` names, `kmh.__all__` names exactly
+what the package imports, and importing the CLI loads nothing beyond numpy,
+scipy and the standard library."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+
+import kmh
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kmh"
 
@@ -40,6 +43,21 @@ def test_import_rules():
         tree = ast.parse(path.read_text())
         assert function_imports(tree) == [], path.name
         assert private_imports(tree) == [], path.name
+
+
+def test_all_names_exactly_the_package_imports():
+    # a stale entry would make `from kmh import *` raise
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    assert len(set(kmh.__all__)) == len(kmh.__all__)
+    assert [name for name in kmh.__all__ if not hasattr(kmh, name)] == []
+    assert sorted(kmh.__all__) == sorted(imported)
 
 
 def numpy_scipy_imports() -> list:

@@ -209,3 +209,12 @@ def test_known_kstar_above_kmax_fails_before_the_k_sweep(monkeypatch):
     monkeypatch.setattr("kmh.pipeline.krzanowski_candidates", None)
     with pytest.raises(KmhError, match="known kstar=5 exceeds the largest K0=3"):
         run_kmh(DataMatrix(rows), KmhConfig(G=5, kstar_known=5, scatter_frac=0.2))
+
+
+def test_core_with_one_distinct_row_fails_before_the_k_sweep(monkeypatch):
+    # scatter removal drops the 10 singletons and leaves 1990 equal rows
+    rows = np.vstack([np.zeros((1990, 2)), np.arange(1, 11)[:, None] * [[50.0, -30.0]]])
+    monkeypatch.setattr("kmh.pipeline.krzanowski_candidates", None)
+    monkeypatch.setattr("kmh.pipeline.best_of", None)
+    with pytest.raises(KmhError, match="fewer than 2 distinct observations remain"):
+        run_kmh(DataMatrix(rows), KmhConfig())
