@@ -13,7 +13,6 @@ import time
 import numpy as np
 import scipy
 from scipy.cluster.hierarchy import leaves_list, linkage
-from scipy.spatial.distance import squareform
 
 from . import __version__
 from .core import DataMatrix, Partition, adjusted_rand_index
@@ -95,34 +94,41 @@ def write_labels(path: str, partition: Partition) -> None:
 
 
 def write_similarity(path: str, sim: SimilarityMatrix) -> None:
-    # psi = count/N holds few distinct values (never -0.0): format each once
-    values, inverse = np.unique(sim.psi, return_inverse=True)
+    # psi = count/N holds few distinct values (never -0.0), and a row is its
+    # signature's row of the table: format each value and each row once
+    values, inverse = np.unique(sim.share, return_inverse=True)
     table = np.array([FLOAT_FMT % v for v in values], dtype=object)
-    cells = table[inverse.reshape(sim.psi.shape)]
+    cells = table[inverse.reshape(sim.share.shape)][:, sim.sig]
+    rows = [",".join(row) for row in cells.tolist()]
     lines = ["obs," + ",".join(str(int(i)) for i in sim.indices)]
-    lines += [f"{int(i)}," + ",".join(row) for i, row in zip(sim.indices, cells.tolist())]
+    lines += [f"{int(i)},{rows[s]}" for i, s in zip(sim.indices, sim.sig.tolist())]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def heatmap_order(sim: SimilarityMatrix) -> np.ndarray:
     """Leaf order of the single-linkage tree over 1 - psi."""
-    m = sim.psi.shape[0]
+    m = sim.sig.size
     if m < 3:
         return np.arange(m)
-    off = squareform(sim.psi, checks=False)
-    return np.asarray(leaves_list(linkage(1.0 - off, method="single")))
+    dist = 1.0 - sim.share
+    # the condensed 1 - psi, row by row: psi[i, i+1:] is share[sig[i], sig[i+1:]]
+    rows = enumerate(sim.sig[:-1].tolist())
+    off = np.concatenate([dist[s, sim.sig[i + 1 :]] for i, s in rows])
+    return np.asarray(leaves_list(linkage(off, method="single")))
 
 
 def write_heatmap(sim: SimilarityMatrix, path: str, order_path: str | None = None) -> np.ndarray:
     """Grayscale plain-PGM heatmap of psi, rows/cols in dendrogram leaf
     order, plus a sidecar CSV mapping pixel position to observation."""
     order = heatmap_order(sim)
-    psi = sim.psi[np.ix_(order, order)]
-    pixels = np.round(255.0 * psi).astype(int)
-    m = pixels.shape[0]
+    leaf_sig = sim.sig[order]
+    pixels = np.round(255.0 * sim.share).astype(int)
     levels = np.array([str(v) for v in range(256)], dtype=object)
+    # one pixel row per signature, its columns in leaf order
+    pixel_rows = [" ".join(row) for row in levels[pixels[:, leaf_sig]].tolist()]
+    m = leaf_sig.size
     lines = ["P2", f"{m} {m}", "255"]
-    lines += [" ".join(row) for row in levels[pixels].tolist()]
+    lines += [pixel_rows[s] for s in leaf_sig.tolist()]
     _atomic_write(path, "\n".join(lines) + "\n")
     if order_path is not None:
         rows = ["position,observation"]

@@ -7,7 +7,8 @@ similar (by mean Adjusted Rand Index) to all the others.
 
 Rows with one label signature, the tuple of a row's labels across the
 partitions, share a cluster in every partition, so each count vote reads a
-table of co-membership counts between the distinct signatures it drew.
+table of co-membership counts between the distinct signatures it drew, and
+the reported similarity is one such table over the report's rows.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ DEFAULT_CV_CUT = 0.8
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Fraction of partitions placing each observation pair together."""
+    """Fraction of partitions placing each observation pair together, held
+    as a table over label signatures: psi[i, j] = share[sig[i], sig[j]]."""
 
-    psi: np.ndarray
+    share: np.ndarray  # (s, s) co-association between distinct signatures
+    sig: np.ndarray  # signature id of each row
     indices: np.ndarray  # observation ids the rows/columns refer to
 
 
@@ -71,10 +74,20 @@ def _co_counts(partitions, labels: np.ndarray) -> np.ndarray:
     return y @ y.T
 
 
-def co_association(partitions, indices: np.ndarray) -> np.ndarray:
-    """Share of `partitions` placing each pair of `indices` in one cluster."""
+def label_signatures(partitions, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct label signatures of `indices` (a row each, a column per
+    partition) and each index's signature id."""
     labels = np.stack([part.labels[indices] for part in partitions], axis=1)
-    return _co_counts(partitions, labels).astype(np.float64) / float(len(partitions))
+    signatures, sig = np.unique(labels, axis=0, return_inverse=True)
+    return signatures, sig.reshape(-1)
+
+
+def co_association_table(partitions, indices: np.ndarray) -> SimilarityMatrix:
+    """Share of `partitions` placing each pair of `indices` in one cluster,
+    tabulated between their distinct label signatures."""
+    signatures, sig = label_signatures(partitions, indices)
+    share = _co_counts(partitions, signatures).astype(np.float64) / float(len(partitions))
+    return SimilarityMatrix(share, sig, indices)
 
 
 def _cv_exceeds(s1: int, s2: int, pairs: int, cut: float) -> bool:
@@ -143,9 +156,7 @@ def estimate_kstar(
 
     N, m = len(partitions), subsample
     pairs = m * (m - 1) // 2
-    labels = np.stack([part.labels[core] for part in partitions], axis=1)
-    signatures, sig = np.unique(labels, axis=0, return_inverse=True)
-    sig = sig.reshape(-1)
+    signatures, sig = label_signatures(partitions, core)
 
     def vote(rows: np.ndarray) -> int:
         present, picked = np.unique(sig[rows], return_inverse=True)

@@ -271,10 +271,16 @@ def krzanowski_candidates(
 
     k_range = range(1, kmax + 1)
     children = spawn(seed, kmax)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        runs = list(
-            pool.map(lambda kc: best_of(data, kc[0], seed=kc[1]), zip(k_range, children))
-        )
+
+    def fit(kc):
+        return best_of(data, kc[0], seed=kc[1])
+
+    # each K's fit is independent; one thread runs them in the caller's thread
+    if threads == 1:
+        runs = list(map(fit, zip(k_range, children)))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            runs = list(pool.map(fit, zip(k_range, children)))
     results: dict[int, KMeansResult] = dict(zip(k_range, runs))
     traces = [res.wgss for res in runs]
 

@@ -14,7 +14,7 @@ from .consensus import (
     DEFAULT_MEAN_CUT,
     KStarEstimate,
     SimilarityMatrix,
-    co_association,
+    co_association_table,
     estimate_kstar,
     mean_ari_scores,
 )
@@ -284,8 +284,7 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
 
     rng = generator(stream_report)
     sample = np.sort(rng.choice(core_indices, size=take, replace=False))
-    psi = co_association([c.partition for c in candidates], sample)
-    similarity = SimilarityMatrix(psi, sample)
+    similarity = co_association_table([c.partition for c in candidates], sample)
     timings["selection"] = time.monotonic() - t
 
     return KmhReport(

@@ -4,9 +4,15 @@ bad input, and the defaults it shares with the library."""
 import dataclasses
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from helpers import expand
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.cluster.hierarchy import leaves_list, linkage
 
 from kmh.cli import (
@@ -87,37 +93,60 @@ def test_bullseye_artifacts_match_golden(tmp_path):
 
 
 def random_similarity(m: int = 60, N: int = 97, seed: int = 0) -> SimilarityMatrix:
-    """Symmetric psi of random counts/N, unit diagonal: up to N+1 distinct values."""
+    """Symmetric psi of random counts/N, unit diagonal: up to N+1 distinct
+    values, every row its own signature."""
     counts = np.triu(np.random.default_rng(seed).integers(0, N + 1, size=(m, m)), 1)
     counts = counts + counts.T + N * np.eye(m, dtype=np.int64)
-    return SimilarityMatrix(counts / N, np.arange(m) * 3 + 1)
+    return SimilarityMatrix(counts / N, np.arange(m), np.arange(m) * 3 + 1)
+
+
+def signature_heavy_similarity(m: int = 150, N: int = 13, seed: int = 0) -> SimilarityMatrix:
+    """A table over 9 signatures of random partitions, rows in random
+    signature order, so rows repeat and psi ties abound."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(1, 4, size=(9, N))
+    sig = rng.integers(0, 9, size=m)
+    sig[:9] = np.arange(9)
+    counts = (pool[:, None, :] == pool[None, :, :]).sum(axis=2)
+    return SimilarityMatrix(counts / N, sig, np.sort(rng.choice(5 * m, size=m, replace=False)))
 
 
 def per_cell_similarity(sim: SimilarityMatrix) -> str:
     lines = ["obs," + ",".join(str(int(i)) for i in sim.indices)]
-    for i, row in zip(sim.indices, sim.psi):
+    for i, row in zip(sim.indices, expand(sim)):
         lines.append(f"{int(i)}," + ",".join(FLOAT_FMT % v for v in row))
     return "\n".join(lines) + "\n"
 
 
 def per_cell_heatmap(sim: SimilarityMatrix) -> tuple:
-    m = sim.psi.shape[0]
+    psi = expand(sim)
+    m = psi.shape[0]
     rows, cols = np.triu_indices(m, 1)
-    order = leaves_list(linkage(1.0 - sim.psi[rows, cols], method="single"))
-    pixels = np.round(255.0 * sim.psi[np.ix_(order, order)]).astype(int)
+    order = leaves_list(linkage(1.0 - psi[rows, cols], method="single"))
+    pixels = np.round(255.0 * psi[np.ix_(order, order)]).astype(int)
     lines = ["P2", f"{m} {m}", "255"] + [" ".join(str(v) for v in row) for row in pixels]
     return order, "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_writers_match_per_cell_formatting(tmp_path, seed):
-    sim = random_similarity(seed=seed)
-    assert np.unique(sim.psi).size > 90
+@pytest.mark.parametrize(
+    "sim, distinct",
+    [
+        (random_similarity(seed=0), 90),
+        (random_similarity(seed=1), 90),
+        (signature_heavy_similarity(), 5),
+    ],
+    ids=["0", "1", "signature-heavy"],
+)
+def test_writers_match_per_cell_formatting(tmp_path, sim, distinct):
+    assert np.unique(sim.share).size > distinct
     write_similarity(str(tmp_path / "sim.csv"), sim)
     assert (tmp_path / "sim.csv").read_text() == per_cell_similarity(sim)
     order, pgm = per_cell_heatmap(sim)
-    assert np.array_equal(write_heatmap(sim, str(tmp_path / "map.pgm")), order)
+    order_csv = tmp_path / "order.csv"
+    assert np.array_equal(write_heatmap(sim, str(tmp_path / "map.pgm"), str(order_csv)), order)
     assert (tmp_path / "map.pgm").read_text() == pgm
+    want = ["position,observation"] + [f"{pos},{sim.indices[o]}" for pos, o in enumerate(order)]
+    assert order_csv.read_text() == "\n".join(want) + "\n"
 
 
 @pytest.fixture
@@ -308,3 +337,27 @@ def test_large_non_integer_truth_label_exits_2(tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
     assert "nonnegative integer labels" in capsys.readouterr().err
     assert not out.exists()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(2, 12), st.integers(1, 5)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    header=st.booleans(),
+)
+def test_read_csv_reads_back_written_floats_bit_for_bit(values, header):
+    # finite doubles of every magnitude, subnormals and -0.0 included
+    lines = [",".join(FLOAT_FMT % v for v in row) for row in values]
+    if header:
+        lines.insert(0, ",".join(f"x{j}" for j in range(values.shape[1])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        data, truth = read_csv(path)
+    assert truth is None
+    assert data.values.shape == values.shape
+    assert data.values.tobytes() == values.tobytes()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import co_association, expand, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
@@ -13,8 +14,9 @@ from kmh.consensus import (
     DEFAULT_CV_CUT,
     DEFAULT_MEAN_CUT,
     DEFAULT_THRESHOLD,
-    co_association,
+    co_association_table,
     estimate_kstar,
+    label_signatures,
     mean_ari_scores,
 )
 
@@ -62,6 +64,54 @@ def test_co_association_matches_broadcast_reference():
             psi = co_association(ps, indices)
             assert psi.dtype == np.float64
             assert np.array_equal(psi, psi_reference(ps, indices))
+
+
+@st.composite
+def signature_ensembles(draw):
+    """N partitions of n rows, each row copied from one of a few label
+    signatures with a little noise, scatter label 0 in places, and m of the
+    rows (2 to about 200) picked in sorted order."""
+    N = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 220))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 6))
+    pool = rng.integers(0, k + 1, size=(draw(st.integers(1, 30)), N))
+    rows = pool[rng.integers(0, len(pool), size=n)]
+    noise = rng.random((n, N)) < draw(st.sampled_from([0.0, 0.02, 0.3]))
+    rows = np.where(noise, rng.integers(0, k + 1, size=(n, N)), rows)
+    ps = [Partition.from_labels(col) for col in rows.T]
+    m = draw(st.integers(2, n))
+    return ps, np.sort(rng.choice(n, size=m, replace=False))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ensemble=signature_ensembles())
+def test_table_expands_to_dense_co_association(ensemble):
+    ps, indices = ensemble
+    sim = co_association_table(ps, indices)
+    signatures, sig = label_signatures(ps, indices)
+    assert np.array_equal(sim.sig, sig) and sim.share.shape == (len(signatures),) * 2
+    assert np.array_equal(sim.indices, indices)
+    # one row per distinct signature, and each row's signature is its labels
+    labels = np.stack([part.labels[indices] for part in ps], axis=1)
+    assert np.array_equal(signatures[sig], labels)
+    assert len(np.unique(signatures, axis=0)) == len(signatures)
+    want = co_association(ps, indices)
+    assert np.array_equal(expand(sim).view(np.int64), want.view(np.int64))
+
+
+def test_report_table_stays_small_for_few_signatures():
+    # 3000 rows drawn from 10 signatures over 6 partitions: the dense psi
+    # would take 72 MB (float64) plus 36 MB (float32 product)
+    rng = np.random.default_rng(0)
+    pool = rng.integers(0, 5, size=(10, 6))
+    rows = pool[rng.integers(0, 10, size=3000)]
+    ps = [Partition.from_labels(col) for col in rows.T]
+    indices = np.arange(3000)
+    assert len(np.unique(rows, axis=0)) <= 10
+    tables = []
+    assert traced_peak(lambda: tables.append(co_association_table(ps, indices))) < 2**20
+    assert tables[0].share.shape[0] <= 10
 
 
 def all_rows(partitions):

@@ -1,11 +1,11 @@
 """Lloyd iterations, multi-start behavior, and the Diff-ratio criterion."""
 
 import inspect
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from helpers import traced_peak
 
 import kmh.kmeans as kmeans
 from kmh._rng import generator, spawn
@@ -351,17 +351,6 @@ def test_seed_list_semantics():
     assert one.iterations == 0 and one.partition.labels.tolist() == [1] * data.n
 
 
-def traced_peak(fn) -> int:
-    """Peak bytes allocated above the starting level while fn runs."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 def test_best_of_working_set_stays_within_budget():
     # a blobs-dup shape: 8 blobs of 112 rows in p=5 plus 300 duplicate rows
     rng = np.random.default_rng(0)
@@ -394,3 +383,15 @@ def test_best_of_calls_lloyd_once_through_its_module_binding(monkeypatch):
     assert calls[0]["data"] is data and calls[0]["K"] == 3
     assert calls[0]["max_iter"] == MAX_SWEEPS
     assert result.iterations >= 1
+
+
+def test_one_thread_sweeps_k_without_a_pool(monkeypatch):
+    # each K's fit is independent, so labels match the pooled sweep's
+    data = three_blobs()
+    trace, candidates, results = krzanowski_candidates(data, 6, M=2, seed=3, threads=2)
+    monkeypatch.setattr(kmeans, "ThreadPoolExecutor", None)
+    serial = krzanowski_candidates(data, 6, M=2, seed=3, threads=1)
+    assert serial[1] == candidates
+    assert serial[0].traces.tobytes() == trace.traces.tobytes()
+    for k, result in results.items():
+        assert_same_run(serial[2][k], result)

@@ -4,9 +4,13 @@ heights and merge pairs bit for bit, at one thread and at two."""
 
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import expand
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmh.core import DataMatrix
 from kmh.datagen import gen_bullseye, gen_gaussian_blobs
@@ -26,8 +30,9 @@ def sha256(arr: np.ndarray, dtype: str) -> str:
 
 
 # SHA-256 of the final labels (little-endian int64) and of the report psi
-# (little-endian float64), recorded with the broadcast-compare psi and the
-# per-row MacQueen dedupe that preceded the current implementations; then of
+# (little-endian float64; the signature table is expanded to the dense m x m
+# psi), recorded with the broadcast-compare psi and the per-row MacQueen
+# dedupe that preceded the current implementations; then of
 # every candidate partition's labels concatenated in candidate order (int64)
 # and of each K0's merge heights concatenated in K0 order (float64), recorded
 # with the frozenset single linkage; then of the merge pairs (a, b) in the
@@ -76,7 +81,7 @@ def test_seeded_run_matches_golden(name, threads):
     report = run_kmh(make_data(), KmhConfig(seed=0, threads=threads))
     assert report.chosen_kstar == kstar
     assert sha256(report.final_partition.labels, "<i8") == labels_sha
-    assert sha256(report.similarity.psi, "<f8") == psi_sha
+    assert sha256(expand(report.similarity), "<f8") == psi_sha
     candidates = [c.partition.labels for c in report.candidate_partitions]
     assert sha256(np.concatenate(candidates), "<i8") == candidates_sha
     heights = [trace.heights for trace in report.merge_traces.values()]
@@ -140,7 +145,7 @@ def test_standardized_run_matches_golden(threads):
     assert report.chosen_kstar == kstar
     assert report.warnings == messages
     assert sha256(report.final_partition.labels, "<i8") == labels_sha
-    assert sha256(report.similarity.psi, "<f8") == psi_sha
+    assert sha256(expand(report.similarity), "<f8") == psi_sha
     candidates = [c.partition.labels for c in report.candidate_partitions]
     assert sha256(np.concatenate(candidates), "<i8") == candidates_sha
 
@@ -155,6 +160,67 @@ def test_resolve_fills_data_defaults_once():
     cfg = KmhConfig().resolve(data)
     assert isinstance(cfg, KmhConfig)
     assert (cfg.M, cfg.G) == (2, 20)
+    assert cfg.resolve(data) == cfg
+
+
+# one value out of range for each field that resolve checks
+BROKEN = {
+    "seed": -1,
+    "M": 0,
+    "L": 0,
+    "B": 0,
+    "G": 1,
+    "kstar_known": 0,
+    "scatter_frac": 1.0,
+    "mean_cut": float("nan"),
+    "cv_cut": float("nan"),
+    "subsample": 1,
+    "threads": 0,
+}
+
+
+@st.composite
+def configs_and_data(draw):
+    """Small data on a coarse grid, so rows repeat, and a config whose
+    fields are drawn from their valid ranges or left None, with at most
+    one field out of range."""
+    n, p = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = DataMatrix(rng.integers(0, draw(st.integers(1, 6)), size=(n, p)).astype(float))
+    top = max(2, data.n_distinct)
+    maybe = lambda lo, hi: st.none() | st.integers(lo, hi)  # noqa: E731
+    cutoffs = st.floats(allow_nan=False)
+    config = KmhConfig(
+        seed=draw(st.integers(0, 5)),
+        M=draw(maybe(1, 12)),
+        L=draw(st.integers(1, 4)),
+        B=draw(st.integers(1, 4)),
+        G=draw(maybe(2, top)),
+        kstar_known=draw(maybe(1, top)),
+        scatter_frac=draw(st.sampled_from([0.0, 0.001, 0.5, 0.999])),
+        mean_cut=draw(cutoffs),
+        cv_cut=draw(cutoffs),
+        subsample=draw(maybe(2, 60)),
+        standardize=draw(st.booleans()),
+        threads=draw(st.integers(1, 3)),
+    )
+    broken = draw(st.sampled_from([None] * len(BROKEN) + sorted(BROKEN)))
+    if broken is not None:
+        config = replace(config, **{broken: BROKEN[broken]})
+    return config, data
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=configs_and_data())
+def test_resolve_is_idempotent(case):
+    config, data = case
+    try:
+        cfg = config.resolve(data)
+    except ValueError:
+        return
+    # only the None defaults change, and a second pass changes nothing
+    assert cfg == replace(config, M=cfg.M, G=cfg.G)
+    assert config.M in (None, cfg.M) and config.G in (None, cfg.G)
     assert cfg.resolve(data) == cfg
 
 
