@@ -108,7 +108,6 @@ def test_report_table_stays_small_for_few_signatures():
     rows = pool[rng.integers(0, 10, size=3000)]
     ps = [Partition.from_labels(col) for col in rows.T]
     indices = np.arange(3000)
-    assert len(np.unique(rows, axis=0)) <= 10
     tables = []
     assert traced_peak(lambda: tables.append(co_association_table(ps, indices))) < 2**20
     assert tables[0].share.shape[0] <= 10
