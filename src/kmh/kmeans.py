@@ -12,9 +12,11 @@ from ._rng import Seed, generator, spawn
 from .core import DataMatrix, Partition
 
 MAX_SWEEPS = 100
-# float64 distance cells (256 KiB) that one group of lockstep Lloyd runs
-# may hold, so a group is max(1, BUDGET // (n*K)) runs: larger blocks leave
-# cache and ran slower
+# float64 cells (256 KiB) of the one distance block that a group of
+# lockstep Lloyd runs reuses on every sweep, so a group is
+# max(1, BUDGET // (n*K)) runs. The block is the group's only working set
+# that grows with K; 2**17 ran the blobs-dup K sweep 10-25% faster but
+# doubled its traced heap.
 BUDGET = 2**15
 # restarts behind each best-of K-means fit of the K0 search
 KMEANS_STARTS = 10
@@ -62,14 +64,16 @@ def _init_macqueen(
     return x[order[np.sort(first)[:K]]]
 
 
-def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_distances(
+    x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Squared distances from every row of x to every centre: centres
-    (..., K, p) give a (..., n, K) block."""
+    (..., K, p) give a (..., n, K) block, written into `out` if given."""
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against roundoff,
     # evaluated in that order inside the one block. A stacked matmul makes
     # one GEMM per run; one GEMM over all runs' centres, or a transposed
     # one, does not keep the bits.
-    d2 = np.matmul(x, np.swapaxes(centers, -1, -2))
+    d2 = np.matmul(x, np.swapaxes(centers, -1, -2), out=out)
     np.multiply(2.0, d2, out=d2)
     np.subtract(x_sq[:, None], d2, out=d2)
     np.add(d2, (centers**2).sum(axis=-1)[..., None, :], out=d2)
@@ -101,40 +105,39 @@ def _lockstep(data: DataMatrix, K: int, seeds: list[Seed], max_iter: int):
     x = data.values
     n, p = x.shape
     x_sq = (x**2).sum(axis=1)
-    # run j's clusters own bins j*K .. j*K+K-1 of the stacked bincounts,
-    # whose weights repeat x once per run
+    xt = np.ascontiguousarray(x.T)
+    # run j's clusters own bins j*K .. j*K+K-1 of the stacked count
     offsets = np.arange(len(seeds))[:, None] * K
-    weights = np.tile(x.ravel(), len(seeds))
-    dims = np.arange(p)
     centers = np.array([_init_macqueen(x, data.row_ids, K, generator(s)) for s in seeds])
+    # the group's one distance block; live runs fill its leading slices
+    block = np.empty((len(seeds), n, K))
     labels = np.full((len(seeds), n), -1, dtype=np.int64)
     live = np.arange(len(seeds))
     sweeps = 0
     while live.size:
         sweeps += 1
         runs = live.size
-        d2 = _sq_distances(x, x_sq, centers)
+        d2 = _sq_distances(x, x_sq, centers, out=block[:runs])
         new_labels = d2.argmin(axis=2)
 
-        bins = (new_labels + offsets[:runs]).ravel()
-        counts = np.bincount(bins, minlength=runs * K).reshape(runs, K)
+        counts = np.bincount((new_labels + offsets[:runs]).ravel(), minlength=runs * K)
+        counts = counts.reshape(runs, K)
         if not counts.all():
             for j in np.flatnonzero((counts == 0).any(axis=1)):
                 _repair_empty(d2[j], new_labels[j], counts[j])
-            bins = (new_labels + offsets[:runs]).ravel()
 
         changed = (new_labels != labels).any(axis=1)
         labels = new_labels
-        # bin (j*K + k)*p + d sums x[i, d] over run j's members i of k in
-        # row order, as one run alone sums them. One bincount, not one per
-        # column: bincount holds the GIL, and many short calls stall a
-        # second thread.
-        sums = np.bincount(
-            (bins[:, None] * p + dims).ravel(),
-            weights=weights[: runs * n * p],
-            minlength=runs * K * p,
-        )
-        centers = sums.reshape(runs, K, p) / counts[:, :, None]
+        # bin k of run j's column-d bincount sums x[i, d] over k's members i
+        # in row order from 0.0, as one run alone sums them. One stacked
+        # bincount would need a runs*n*p index and copy of x, larger than
+        # the block at small K. These short calls hold the GIL: two threads
+        # run them at 0.6-0.8 of the serial rate.
+        sums = np.empty((runs, K, p))
+        for j in range(runs):
+            for d in range(p):
+                sums[j, :, d] = np.bincount(labels[j], weights=xt[d], minlength=K)
+        centers = sums / counts[:, :, None]
 
         if sweeps < max_iter and changed.all():
             continue

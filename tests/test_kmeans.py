@@ -1,16 +1,24 @@
 """Lloyd iterations, multi-start behavior, and the Diff-ratio criterion."""
 
 import inspect
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kmh.kmeans as kmeans
 from kmh._rng import generator, spawn
 from kmh.core import DataMatrix, Partition
 from kmh.kmeans import (
+    BUDGET,
+    KMEANS_STARTS,
     MAX_SWEEPS,
     KMeansResult,
     _init_macqueen,
@@ -165,6 +173,11 @@ def test_sq_distances_match_broadcast_expression():
         stacked = _sq_distances(x, x_sq, np.stack([3.0 * centers, centers]))
         assert stacked[1].tobytes() == want.tobytes()
         assert stacked[0].tobytes() == _sq_distances(x, x_sq, 3.0 * centers).tobytes()
+        # through `out=`: the leading slice of a larger, stale block
+        block = np.full((3, n, K), np.nan)
+        got = _sq_distances(x, x_sq, np.stack([3.0 * centers, centers]), out=block[:2])
+        assert got.base is block
+        assert block[:2].tobytes() == stacked.tobytes()
 
 
 def test_krzanowski_formula_example():
@@ -318,6 +331,31 @@ def test_small_groups_match_one_run_loop(monkeypatch):
                 assert_same_run(got, best_reference(data, K, spawn(p * K, 78), max_iter))
 
 
+@st.composite
+def lockstep_cases(draw):
+    """Duplicate-heavy data with signed zeros, a K up to its distinct rows,
+    a seed list, a group size from one run to all of them, and a cap."""
+    p = draw(st.integers(1, 7))
+    n = draw(st.integers(4, 60))
+    data = duplicate_heavy(p, draw(st.integers(0, 2**16)), n=n, distinct=draw(st.integers(2, 15)))
+    K = draw(st.integers(1, data.n_distinct))
+    seeds = spawn(draw(st.integers(0, 2**16)), draw(st.integers(1, 24)))
+    group = draw(st.integers(1, len(seeds)))
+    max_iter = draw(st.sampled_from([2, MAX_SWEEPS]))
+    return data, K, seeds, group, max_iter
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=lockstep_cases())
+def test_seed_list_lloyd_matches_one_run_loop(case):
+    data, K, seeds, group, max_iter = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kmeans, "BUDGET", group * data.n * K)
+        got = lloyd(data, K, seed=seeds, max_iter=max_iter)
+    assert_same_run(got, best_reference(data, K, seeds, max_iter))
+
+
 def three_blobs(seed=8):
     rng = np.random.default_rng(seed)
     return DataMatrix(np.repeat([[0, 0], [6, 0], [0, 6]], 20, axis=0) + rng.normal(size=(60, 2)))
@@ -362,6 +400,10 @@ def test_best_of_working_set_stays_within_budget():
     # a few 256 KiB budgets; all 78 runs' distance blocks at once would
     # take about 25 MB
     assert all_starts <= one_run + 3 * 2**18
+    # at K=2 all 10 starts share one group, whose 0.18 MiB distance block
+    # is the only working set that grows with the group
+    assert BUDGET // (data.n * 2) >= KMEANS_STARTS
+    assert traced_peak(lambda: best_of(data, 2)) < 2**20
 
 
 def test_best_of_calls_lloyd_once_through_its_module_binding(monkeypatch):
@@ -395,3 +437,48 @@ def test_one_thread_sweeps_k_without_a_pool(monkeypatch):
     assert serial[0].traces.tobytes() == trace.traces.tobytes()
     for k, result in results.items():
         assert_same_run(serial[2][k], result)
+
+
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS build that picks its kernel by CPU."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 only prints its configuration
+        return False
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+K_SWEEP_DIGEST = """
+import hashlib
+from kmh.datagen import gen_bullseye
+from kmh.kmeans import krzanowski_candidates
+trace, _, results = krzanowski_candidates(gen_bullseye(seed=0).data, 20, M=3, seed=0)
+digest = hashlib.sha256(trace.traces.tobytes())
+for K in sorted(results):
+    digest.update(results[K].partition.labels.tobytes())
+    digest.update(results[K].centers.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def k_sweep_digest(coretype: str | None) -> str:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = str(Path(kmeans.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", K_SWEEP_DIGEST], env=env, capture_output=True, text=True, check=True
+    )
+    return run.stdout.strip()
+
+
+@pytest.mark.skipif(not openblas_dynamic_arch(), reason="BLAS picks no kernel by CPU")
+def test_k_sweep_bits_hold_under_another_gemm_kernel():
+    # the WGSS traces, best labels and centres of bullseye's K sweep, under
+    # the host's GEMM kernel and under OpenBLAS's oldest x86-64 one
+    host = k_sweep_digest(None)
+    assert len(host) == 64  # a SHA-256 hex digest
+    assert k_sweep_digest("Prescott") == host
