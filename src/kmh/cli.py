@@ -146,9 +146,7 @@ def _report_payload(report, truth: Partition | None) -> dict:
         "n_star": report.scatter.n_star,
         "scatter_indices": [int(i) for i in report.scatter.scatter_indices],
         "k0_candidates": [int(k) for k in report.k0_candidates],
-        "krzanowski": None
-        if krz is None
-        else {
+        "krzanowski": {
             "k": [int(k) for k in krz.k_values],
             "trace": [float(t) for t in krz.traces],
             "diff_k": [int(k) for k in krz.diff_k],

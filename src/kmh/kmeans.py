@@ -214,20 +214,16 @@ def best_of(
     return lloyd(data, K, seed=spawn(seed, starts))
 
 
-def krzanowski_from_traces(k_values, traces, p: int, M: int):
-    """Diff/ratio bookkeeping over precomputed within-group scatter traces.
+def krzanowski_from_traces(traces, p: int):
+    """Diff/ratio bookkeeping over the within-group scatter traces of
+    K = 1..len(traces).
 
-    Returns (KrzanowskiTrace, candidates): the M values of K with largest
-    C_K = |Diff(K)/Diff(K+1)|, descending, ties to the smaller K. K values
-    whose Diff(K+1) vanishes are excluded; fewer than M eligible K simply
-    yields a shorter list.
+    Returns (KrzanowskiTrace, ranked): every K with a ratio
+    C_K = |Diff(K)/Diff(K+1)|, largest first, ties to the smaller K. K values
+    whose Diff(K+1) vanishes are excluded.
     """
-    k_values = np.asarray(k_values, dtype=np.int64)
     traces = np.asarray(traces, dtype=float)
-    if k_values.size != traces.size:
-        raise ValueError("k_values and traces must align")
-    if k_values.size >= 2 and not np.all(np.diff(k_values) == 1):
-        raise ValueError("k_values must be consecutive ascending integers")
+    k_values = np.arange(1, traces.size + 1, dtype=np.int64)
 
     exponent = 2.0 / p
     diff_k, diffs = [], []
@@ -248,15 +244,14 @@ def krzanowski_from_traces(k_values, traces, p: int, M: int):
     ratios = np.asarray(ratios, dtype=float)
 
     order = sorted(range(ratios.size), key=lambda i: (-ratios[i], ratio_k[i]))
-    candidates = [int(ratio_k[i]) for i in order[:M]]
+    ranked = [int(ratio_k[i]) for i in order]
     trace = KrzanowskiTrace(k_values, traces, diff_k, diffs, ratio_k, ratios)
-    return trace, candidates
+    return trace, ranked
 
 
 def krzanowski_candidates(
     data: DataMatrix,
     kmax: int,
-    M: int,
     seed: Seed = 0,
     threads: int = 1,
 ):
@@ -264,13 +259,11 @@ def krzanowski_candidates(
 
     Runs best-of-KMEANS_STARTS K-means for every K in 1..kmax, K from
     child K-1 of `seed`, on `threads` workers (the K=1 trace is just the
-    total scatter). Returns (KrzanowskiTrace, candidates, results), results
-    a dict K -> KMeansResult.
+    total scatter). Returns (KrzanowskiTrace, ranked, results): ranked as
+    `krzanowski_from_traces` gives it, results a dict K -> KMeansResult.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if kmax < 3:
-        raise ValueError(f"kmax={kmax} is too small to form any Diff ratio")
+    if kmax < 2:
+        raise ValueError(f"kmax={kmax} must be >= 2")
 
     k_range = range(1, kmax + 1)
     children = spawn(seed, kmax)
@@ -287,5 +280,5 @@ def krzanowski_candidates(
     results: dict[int, KMeansResult] = dict(zip(k_range, runs))
     traces = [res.wgss for res in runs]
 
-    trace, candidates = krzanowski_from_traces(k_range, traces, data.p, M)
-    return trace, candidates, results
+    trace, ranked = krzanowski_from_traces(traces, data.p)
+    return trace, ranked, results

@@ -21,7 +21,7 @@ from .consensus import (
 from .core import SCATTER_LABEL, DataMatrix, Partition
 from .gaussdist import entity_distance_matrix, fit_entity, variance_floor
 from .hierarchy import ChangePointReport, MergeTrace, change_points, cut_to_partition, single_linkage
-from .kmeans import KrzanowskiTrace, best_of, krzanowski_candidates
+from .kmeans import KrzanowskiTrace, krzanowski_candidates
 from .scatter import ScatterResult, remove_scatter
 
 
@@ -111,7 +111,7 @@ class KmhReport:
     mean_ari: np.ndarray
     candidate_partitions: list
     k0_candidates: list
-    krz_trace: KrzanowskiTrace | None
+    krz_trace: KrzanowskiTrace
     merge_traces: dict
     change_point_reports: dict
     kstar_estimate: KStarEstimate | None
@@ -197,20 +197,15 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     kmax = min(cfg.G, core_data.n_distinct)
     if cfg.kstar_known is not None and cfg.kstar_known > kmax:
         raise KmhError(f"known kstar={cfg.kstar_known} exceeds the largest K0={kmax}")
-    krz_trace = None
-    if kmax >= 3:
-        krz_trace, k0_candidates, results = krzanowski_candidates(
-            core_data, kmax, M=cfg.M, seed=stream_krz, threads=cfg.threads
+    krz_trace, ranked, results = krzanowski_candidates(
+        core_data, kmax, seed=stream_krz, threads=cfg.threads
+    )
+    k0_candidates = ranked[: cfg.M]
+    if len(k0_candidates) < cfg.M:
+        warnings.append(
+            f"only {len(k0_candidates)} eligible Diff-ratio candidates; padding from K={kmax} down"
         )
-        if len(k0_candidates) < cfg.M:
-            warnings.append(
-                f"only {len(k0_candidates)} eligible Diff-ratio candidates; padding from K={kmax} down"
-            )
-            k0_candidates = _pad(k0_candidates, cfg.M, kmax)
-    else:
-        warnings.append(f"too few distinct observations for the K0 search; using K0={kmax}")
-        k0_candidates = [kmax]
-        results = {kmax: best_of(core_data, kmax, seed=stream_krz)}
+        k0_candidates = _pad(k0_candidates, cfg.M, kmax)
     timings["krzanowski"] = time.monotonic() - t
 
     t = time.monotonic()

@@ -30,7 +30,7 @@ def default_scatter_starts(n: int, p: int) -> int:
 def remove_scatter(
     data: DataMatrix,
     G: int,
-    frac: float = 0.001,
+    frac: float,
     seed: Seed = 0,
 ) -> ScatterResult:
     """Run best-of-`default_scatter_starts` G-means and drop observations

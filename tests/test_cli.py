@@ -250,6 +250,10 @@ def test_small_inputs_run(tmp_path, rows):
     report = json.loads((out / "report.json").read_text())
     assert report["n"] == rows.shape[0]
     assert report["kstar"]["chosen"] == 2
+    # the K0 search fits K = 1..G, also at G = 2 (n2, n3), where it pads K0 = [2]
+    assert report["krzanowski"]["k"] == list(range(1, report["config"]["G"] + 1))
+    if report["config"]["G"] == 2:
+        assert report["k0_candidates"] == [2] and report["krzanowski"]["ratio_k"] == []
 
 
 def test_constant_column_warns_under_standardize(bullseye_csv, tmp_path):

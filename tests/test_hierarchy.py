@@ -3,6 +3,11 @@ change-point ranking and tree cutting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import squareform
 
 from kmh.core import Partition
 from kmh.hierarchy import change_points, cut_to_partition, single_linkage
@@ -184,3 +189,44 @@ def test_cut_group_count_and_refinement():
                     targets = np.unique(cut.labels[finer.labels == fine_id])
                     assert targets.size == 1
             finer = cut
+
+
+@st.composite
+def distance_matrices(draw, tie_free: bool):
+    """A k x k distance matrix, k in 2..11. Tie-free ones hold the distinct
+    distances 1..k(k-1)/2 in any order: single linkage reads only their
+    order. The others mix small integers and zeros with arbitrary floats, so
+    most of them tie."""
+    k = draw(st.integers(2, 11))
+    size = k * (k - 1) // 2
+    if tie_free:
+        entries = st.permutations(np.arange(1.0, size + 1.0).tolist())
+    else:
+        values = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 1.0))
+        entries = hnp.arrays(float, size, elements=values)
+    return squareform(np.array(draw(entries), dtype=float))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dist=distance_matrices(tie_free=False))
+def test_single_linkage_matches_brute_force_and_scipy_heights(dist):
+    trace, _ = single_linkage(dist)
+    assert trace.merges == tuple(brute_force_single_linkage(dist))
+    # single-linkage heights are the minimum spanning tree's edge weights,
+    # a multiset no tie-break changes
+    scipy_heights = linkage(squareform(dist), "single")[:, 2]
+    assert sorted(trace.heights.tolist()) == sorted(scipy_heights.tolist())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dist=distance_matrices(tie_free=True))
+def test_cut_matches_scipy_maxclust_on_tie_free_matrices(dist):
+    k = dist.shape[0]
+    trace, _ = single_linkage(dist)
+    Z = linkage(squareform(dist), "single")
+    for kstar in range(1, k + 1):
+        cut = cut_to_partition(trace, kstar, Partition(np.arange(1, k + 1))).labels
+        want = fcluster(Z, kstar, criterion="maxclust")
+        assert np.unique(cut).size == kstar
+        # the same groups, up to relabelling
+        assert np.array_equal(cut[:, None] == cut[None, :], want[:, None] == want[None, :])

@@ -181,25 +181,23 @@ def test_sq_distances_match_broadcast_expression():
 
 
 def test_krzanowski_formula_example():
-    trace, cand = krzanowski_from_traces([1, 2, 3, 4], [100.0, 20, 18, 17], p=2, M=2)
+    trace, cand = krzanowski_from_traces([100.0, 20, 18, 17], p=2)
+    assert trace.k_values.tolist() == [1, 2, 3, 4]
     assert np.allclose(trace.diffs, [60.0, -14.0, -14.0])
     assert np.allclose(trace.ratios, [60 / 14, 1.0])
     assert cand == [2, 3]
 
 
 def test_krzanowski_exact_cancellation():
-    ks = [1, 2, 3, 4, 5]
-    traces = [12.0 / k for k in ks]
-    trace, cand = krzanowski_from_traces(ks, traces, p=2, M=3)
+    traces = [12.0 / k for k in range(1, 6)]
+    trace, cand = krzanowski_from_traces(traces, p=2)
     assert np.allclose(trace.diffs, 0.0)
     assert cand == []
 
 
 def test_krzanowski_tie_breaks_to_smaller_k():
     # two equal ratios: K=2 and K=3 both at C=2
-    trace, cand = krzanowski_from_traces(
-        [1, 2, 3, 4, 5], [40.0, 11.0, 4.0, 1.75, 0.9], p=2, M=1
-    )
+    trace, cand = krzanowski_from_traces([40.0, 11.0, 4.0, 1.75, 0.9], p=2)
     r = dict(zip(trace.ratio_k.tolist(), trace.ratios.tolist()))
     assert cand[0] == min(k for k, v in r.items() if v == max(r.values()))
 
@@ -208,14 +206,25 @@ def test_krzanowski_on_three_blobs():
     rng = np.random.default_rng(8)
     centers = np.repeat([[0, 0], [12, 0], [0, 12]], 60, axis=0)
     data = DataMatrix(centers + rng.normal(size=(180, 2)))
-    trace, cand, _ = krzanowski_candidates(data, 9, M=3, seed=9)
-    assert 3 in cand
+    trace, ranked, _ = krzanowski_candidates(data, 9, seed=9)
+    assert 3 in ranked[:3]
     # independently recomputed traces match the stored ones
     for k, stored in zip(trace.k_values, trace.traces):
         if k == 3:
             res = best_of(data, 3, starts=10, seed=None or 0)
             assert stored <= res.wgss * 1.05 + 1e-9
     assert (trace.traces >= 0).all()
+
+
+def test_k_sweep_at_kmax_2_ranks_no_k():
+    # K=1 and K=2 give one Diff and so no ratio
+    data = DataMatrix(np.random.default_rng(0).normal(size=(8, 2)))
+    trace, ranked, results = krzanowski_candidates(data, 2, seed=3)
+    assert ranked == []
+    assert trace.k_values.tolist() == [1, 2] and trace.diffs.size == 1 and trace.ratios.size == 0
+    assert_same_run(results[2], best_of(data, 2, seed=spawn(3, 2)[1]))
+    with pytest.raises(ValueError, match="kmax=1"):
+        krzanowski_candidates(data, 1)
 
 
 def lloyd_reference(data, K, seed, max_iter=MAX_SWEEPS):
@@ -345,15 +354,20 @@ def lockstep_cases(draw):
     return data, K, seeds, group, max_iter
 
 
-@pytest.mark.filterwarnings("error")
+# warnings fail the fits inside the test body: a `filterwarnings("error")`
+# mark would also cover hypothesis's failure report, whose imports warn, and
+# a failing example would then stop the whole session
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(case=lockstep_cases())
 def test_seed_list_lloyd_matches_one_run_loop(case):
     data, K, seeds, group, max_iter = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kmeans, "BUDGET", group * data.n * K)
-        got = lloyd(data, K, seed=seeds, max_iter=max_iter)
-    assert_same_run(got, best_reference(data, K, seeds, max_iter))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kmeans, "BUDGET", group * data.n * K)
+            got = lloyd(data, K, seed=seeds, max_iter=max_iter)
+        want = best_reference(data, K, seeds, max_iter)
+    assert_same_run(got, want)
 
 
 def three_blobs(seed=8):
@@ -430,9 +444,9 @@ def test_best_of_calls_lloyd_once_through_its_module_binding(monkeypatch):
 def test_one_thread_sweeps_k_without_a_pool(monkeypatch):
     # each K's fit is independent, so labels match the pooled sweep's
     data = three_blobs()
-    trace, candidates, results = krzanowski_candidates(data, 6, M=2, seed=3, threads=2)
+    trace, candidates, results = krzanowski_candidates(data, 6, seed=3, threads=2)
     monkeypatch.setattr(kmeans, "ThreadPoolExecutor", None)
-    serial = krzanowski_candidates(data, 6, M=2, seed=3, threads=1)
+    serial = krzanowski_candidates(data, 6, seed=3, threads=1)
     assert serial[1] == candidates
     assert serial[0].traces.tobytes() == trace.traces.tobytes()
     for k, result in results.items():
@@ -453,7 +467,7 @@ K_SWEEP_DIGEST = """
 import hashlib
 from kmh.datagen import gen_bullseye
 from kmh.kmeans import krzanowski_candidates
-trace, _, results = krzanowski_candidates(gen_bullseye(seed=0).data, 20, M=3, seed=0)
+trace, _, results = krzanowski_candidates(gen_bullseye(seed=0).data, 20, seed=0)
 digest = hashlib.sha256(trace.traces.tobytes())
 for K in sorted(results):
     digest.update(results[K].partition.labels.tobytes())

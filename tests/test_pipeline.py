@@ -281,6 +281,29 @@ def test_core_with_one_distinct_row_fails_before_the_k_sweep(monkeypatch):
     # scatter removal drops the 10 singletons and leaves 1990 equal rows
     rows = np.vstack([np.zeros((1990, 2)), np.arange(1, 11)[:, None] * [[50.0, -30.0]]])
     monkeypatch.setattr("kmh.pipeline.krzanowski_candidates", None)
-    monkeypatch.setattr("kmh.pipeline.best_of", None)
     with pytest.raises(KmhError, match="fewer than 2 distinct observations remain"):
         run_kmh(DataMatrix(rows), KmhConfig())
+
+
+def assert_padded_k0_search_at_kmax_2(report):
+    # the K sweep fits K=1 and K=2, forms no Diff ratio, and padding gives K0=2
+    assert report.k0_candidates == [2]
+    assert report.krz_trace.k_values.tolist() == [1, 2]
+    assert report.krz_trace.ratio_k.size == 0
+    assert report.warnings[0] == "only 0 eligible Diff-ratio candidates; padding from K=2 down"
+
+
+def test_n_8_searches_k0_at_kmax_2():
+    # G = floor(sqrt(8)) = 2
+    data = DataMatrix(np.random.default_rng(0).normal(size=(8, 2)))
+    assert_padded_k0_search_at_kmax_2(run_kmh(data))
+
+
+def test_core_of_two_distinct_rows_searches_k0_and_separates_them():
+    rows = np.random.default_rng(2).permutation(np.repeat([[0.0, 0.0], [3.0, 1.0]], 10, axis=0))
+    report = run_kmh(DataMatrix(rows))
+    assert_padded_k0_search_at_kmax_2(report)
+    labels = report.final_partition.labels
+    first = (rows == rows[0]).all(axis=1)
+    assert len(set(labels[first])) == len(set(labels[~first])) == 1
+    assert labels[first][0] != labels[~first][0]

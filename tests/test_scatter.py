@@ -68,10 +68,10 @@ def test_retained_floor():
 
 def test_bad_arguments():
     data = DataMatrix(np.random.default_rng(5).normal(size=(20, 2)))
-    with pytest.raises(ValueError):
-        remove_scatter(data, G=1)
-    with pytest.raises(ValueError):
-        remove_scatter(data, G=30)
+    with pytest.raises(ValueError, match="G=1 out of range"):
+        remove_scatter(data, G=1, frac=0.001)
+    with pytest.raises(ValueError, match="G=30 out of range"):
+        remove_scatter(data, G=30, frac=0.001)
     with pytest.raises(ValueError):
         remove_scatter(data, G=3, frac=1.0)
     # more groups than distinct rows is rejected even where no G-means runs
