@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from . import __version__
 from .core import DataMatrix, Partition, adjusted_rand_index
 from .consensus import SimilarityMatrix
 from .datagen import gen_banana_spheres, gen_bullseye, gen_gaussian_blobs
-from .pipeline import KmhConfig, KmhError, run_kmh
+from .pipeline import SEED_STREAMS, KmhConfig, KmhError, run_kmh
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -28,13 +29,18 @@ FLOAT_FMT = "%.17g"
 
 
 class InputError(Exception):
-    """Bad input file or contradictory configuration (exit code 2)."""
+    """Bad input file or `kmh gen` option (exit code 2); a `kmh run` setting
+    no run can use is a `KmhError`."""
 
 
-def _atomic_write(path: str, payload: str) -> None:
+def _atomic_write(path: str, lines) -> None:
+    """Write each of `lines` and a newline to a temporary file as it comes,
+    then move the file onto `path`."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(payload)
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
     os.replace(tmp, path)
 
 
@@ -88,9 +94,8 @@ def read_csv(path: str, truth_col: int | None = None):
 
 
 def write_labels(path: str, partition: Partition) -> None:
-    lines = ["index,label"]
-    lines += [f"{i},{int(l)}" for i, l in enumerate(partition.labels)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = (f"{i},{int(l)}" for i, l in enumerate(partition.labels))
+    _atomic_write(path, itertools.chain(["index,label"], rows))
 
 
 def write_similarity(path: str, sim: SimilarityMatrix) -> None:
@@ -100,9 +105,9 @@ def write_similarity(path: str, sim: SimilarityMatrix) -> None:
     table = np.array([FLOAT_FMT % v for v in values], dtype=object)
     cells = table[inverse.reshape(sim.share.shape)][:, sim.sig]
     rows = [",".join(row) for row in cells.tolist()]
-    lines = ["obs," + ",".join(str(int(i)) for i in sim.indices)]
-    lines += [f"{int(i)},{rows[s]}" for i, s in zip(sim.indices, sim.sig.tolist())]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    header = "obs," + ",".join(str(int(i)) for i in sim.indices)
+    lines = (f"{int(i)},{rows[s]}" for i, s in zip(sim.indices, sim.sig.tolist()))
+    _atomic_write(path, itertools.chain([header], lines))
 
 
 def heatmap_order(sim: SimilarityMatrix) -> np.ndarray:
@@ -117,7 +122,7 @@ def heatmap_order(sim: SimilarityMatrix) -> np.ndarray:
     return np.asarray(leaves_list(linkage(off, method="single")))
 
 
-def write_heatmap(sim: SimilarityMatrix, path: str, order_path: str | None = None) -> np.ndarray:
+def write_heatmap(sim: SimilarityMatrix, path: str, order_path: str) -> np.ndarray:
     """Grayscale plain-PGM heatmap of psi, rows/cols in dendrogram leaf
     order, plus a sidecar CSV mapping pixel position to observation."""
     order = heatmap_order(sim)
@@ -127,13 +132,10 @@ def write_heatmap(sim: SimilarityMatrix, path: str, order_path: str | None = Non
     # one pixel row per signature, its columns in leaf order
     pixel_rows = [" ".join(row) for row in levels[pixels[:, leaf_sig]].tolist()]
     m = leaf_sig.size
-    lines = ["P2", f"{m} {m}", "255"]
-    lines += [pixel_rows[s] for s in leaf_sig.tolist()]
-    _atomic_write(path, "\n".join(lines) + "\n")
-    if order_path is not None:
-        rows = ["position,observation"]
-        rows += [f"{pos},{int(sim.indices[o])}" for pos, o in enumerate(order)]
-        _atomic_write(order_path, "\n".join(rows) + "\n")
+    lines = (pixel_rows[s] for s in leaf_sig.tolist())
+    _atomic_write(path, itertools.chain(["P2", f"{m} {m}", "255"], lines))
+    rows = (f"{pos},{int(sim.indices[o])}" for pos, o in enumerate(order))
+    _atomic_write(order_path, itertools.chain(["position,observation"], rows))
     return order
 
 
@@ -203,31 +205,19 @@ def _cutoff_pair(text: str) -> tuple:
 
 
 def config_from_args(args) -> KmhConfig:
-    return KmhConfig(
-        seed=args.seed,
-        M=args.M,
-        L=args.L,
-        B=args.B,
-        G=args.G,
-        kstar_known=args.kstar,
-        scatter_frac=args.scatter_frac,
-        mean_cut=args.linkage_cutoffs[0],
-        cv_cut=args.linkage_cutoffs[1],
-        subsample=args.subsample,
-        standardize=args.standardize,
-        threads=args.threads,
-    )
+    """The `KmhConfig` of the config flags given on the command line, each
+    under its field's name; every other field keeps its `KmhConfig` default."""
+    given = vars(args)
+    config = {f.name: given[f.name] for f in dataclasses.fields(KmhConfig) if f.name in given}
+    if "linkage_cutoffs" in given:
+        config["mean_cut"], config["cv_cut"] = given["linkage_cutoffs"]
+    return KmhConfig(**config)
 
 
 def cmd_run(args) -> int:
     t_start = time.monotonic()
     data, truth = read_csv(args.input, truth_col=args.truth_col)
-    try:
-        config = config_from_args(args).resolve(data)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-    report = run_kmh(data, config)
+    report = run_kmh(data, config_from_args(args))
     os.makedirs(args.output_dir, exist_ok=True)
     payload = _report_payload(report, truth)
 
@@ -243,16 +233,13 @@ def cmd_run(args) -> int:
         ]
     }
     write_labels(paths["labels"], report.final_partition)
-    _atomic_write(
-        paths["report"],
-        json.dumps(payload, indent=1, sort_keys=True) + "\n",
-    )
+    _atomic_write(paths["report"], [json.dumps(payload, indent=1, sort_keys=True)])
     write_similarity(paths["similarity"], report.similarity)
     write_heatmap(report.similarity, paths["heatmap"], paths["heatmap_order"])
 
     manifest = {
         "input": os.path.abspath(args.input),
-        "seed": args.seed,
+        "seed": report.config_resolved.seed,
         "config": payload["config"],
         "versions": {
             "kmh": __version__,
@@ -261,10 +248,10 @@ def cmd_run(args) -> int:
             "scipy": scipy.__version__,
         },
         "outputs": {k: os.path.abspath(v) for k, v in paths.items()},
-        "seed_substreams": ["scatter", "krzanowski", "consensus", "report_subsample"],
+        "seed_substreams": list(SEED_STREAMS),
         "timings_sec": {**report.timings, "total": time.monotonic() - t_start},
     }
-    _atomic_write(paths["manifest"], json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    _atomic_write(paths["manifest"], [json.dumps(manifest, indent=1, sort_keys=True)])
 
     print(
         f"n={data.n} n*={report.scatter.n_star} K*={report.chosen_kstar} "
@@ -277,8 +264,7 @@ def cmd_run(args) -> int:
 
 def _write_dataset_csv(path: str, dataset) -> None:
     out = np.column_stack([dataset.data.values, dataset.truth.labels.astype(float)])
-    lines = [",".join(FLOAT_FMT % v for v in row) for row in out]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, (",".join(FLOAT_FMT % v for v in row) for row in out))
 
 
 def cmd_gen(args) -> int:
@@ -312,28 +298,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = KmhConfig()
-    run = sub.add_parser("run", help="cluster a CSV dataset")
+    # a config flag left out is not passed, so KmhConfig's default holds
+    run = sub.add_parser("run", help="cluster a CSV dataset", argument_default=argparse.SUPPRESS)
     run.add_argument("--input", required=True, help="input CSV (optional header line)")
     run.add_argument("--output-dir", default=".", help="directory for output artifacts")
-    run.add_argument("--seed", type=int, default=defaults.seed)
-    run.add_argument("--kstar", type=int, default=None, help="known number of clusters")
-    run.add_argument("--M", type=int, default=None, help="number of K0 candidates")
-    run.add_argument("--L", type=int, default=defaults.L, help="stopping candidates per K0")
-    run.add_argument("--B", type=int, default=defaults.B, help="consensus replicates")
-    run.add_argument("--G", type=int, default=None, help="largest candidate group size")
+    run.add_argument("--seed", type=int)
+    run.add_argument(
+        "--kstar", type=int, dest="kstar_known", metavar="KSTAR", help="known number of clusters"
+    )
+    run.add_argument("--M", type=int, help="number of K0 candidates")
+    run.add_argument("--L", type=int, help="stopping candidates per K0")
+    run.add_argument("--B", type=int, help="consensus replicates")
+    run.add_argument("--G", type=int, help="largest candidate group size")
     run.add_argument("--standardize", action="store_true")
-    run.add_argument("--scatter-frac", type=float, default=defaults.scatter_frac)
+    run.add_argument("--scatter-frac", type=float)
     run.add_argument(
         "--linkage-cutoffs",
         type=_cutoff_pair,
-        default=(defaults.mean_cut, defaults.cv_cut),
         metavar="MEAN,CV",
         help="similarity mean / coefficient-of-variation cutoffs for linkage choice",
     )
-    run.add_argument("--subsample", type=int, default=None)
+    run.add_argument("--subsample", type=int)
     run.add_argument("--truth-col", type=int, default=None, help="0-based ground-truth column")
-    run.add_argument("--threads", type=int, default=defaults.threads)
+    run.add_argument("--threads", type=int)
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("gen", help="generate a benchmark dataset CSV")

@@ -29,8 +29,13 @@ from .scatter import ScatterResult, remove_scatter
 DEFAULT_SUBSAMPLE_CAP = 500
 
 
-class KmhError(RuntimeError):
-    """Raised when the data and settings admit no run: too few distinct core rows, or K* too high."""
+# the substreams of config.seed, in the order `run_kmh` spawns them
+SEED_STREAMS = ("scatter", "krzanowski", "consensus", "report_subsample")
+
+
+class KmhError(ValueError):
+    """Raised when the data and settings admit no run: a setting out of
+    range, too few distinct core rows, or K* too high."""
 
 
 def default_m(n: int, p: int) -> int:
@@ -44,7 +49,8 @@ def default_g(n: int) -> int:
 @dataclass(frozen=True)
 class KmhConfig:
     """The tunables, one per `kmh run` flag; None fields resolve from the
-    data at run time.
+    data at run time. `kmh run` passes only the flags given, so these
+    defaults are the CLI's too.
 
     What no flag sets is a constant of its module: the consensus cut
     `consensus.DEFAULT_THRESHOLD`, the `kmeans.KMEANS_STARTS` restarts per
@@ -66,31 +72,31 @@ class KmhConfig:
 
     def resolve(self, data: DataMatrix) -> KmhConfig:
         """This config with every None default that depends on the data
-        filled in; fails on values no run could use. Idempotent."""
+        filled in; raises `KmhError` on values no run could use. Idempotent."""
         n, p = data.n, data.p
         if data.n_distinct < 2:
-            raise ValueError("need at least 2 distinct observations")
+            raise KmhError("need at least 2 distinct observations")
         cfg = replace(
             self,
             M=self.M if self.M is not None else default_m(n, p),
             G=self.G if self.G is not None else min(default_g(n), data.n_distinct),
         )
         if min(cfg.M, cfg.L, cfg.B, cfg.threads) < 1:
-            raise ValueError("M, L, B and threads must all be >= 1")
+            raise KmhError("M, L, B and threads must all be >= 1")
         if not (2 <= cfg.G <= data.n_distinct):
-            raise ValueError(
+            raise KmhError(
                 f"G={cfg.G} must be in [2, {data.n_distinct}], the number of distinct observations"
             )
         if cfg.kstar_known is not None and not (1 <= cfg.kstar_known <= cfg.G):
-            raise ValueError(f"kstar={cfg.kstar_known} must be in [1, G={cfg.G}]")
+            raise KmhError(f"kstar={cfg.kstar_known} must be in [1, G={cfg.G}]")
         if cfg.subsample is not None and cfg.subsample < 2:
-            raise ValueError(f"subsample={cfg.subsample} must be >= 2")
+            raise KmhError(f"subsample={cfg.subsample} must be >= 2")
         if not (0.0 <= cfg.scatter_frac < 1.0):
-            raise ValueError(f"scatter_frac={cfg.scatter_frac} must be in [0, 1)")
+            raise KmhError(f"scatter_frac={cfg.scatter_frac} must be in [0, 1)")
         if cfg.seed < 0:
-            raise ValueError(f"seed={cfg.seed} must be >= 0")
+            raise KmhError(f"seed={cfg.seed} must be >= 0")
         if np.isnan([cfg.mean_cut, cfg.cv_cut]).any():
-            raise ValueError(f"mean_cut={cfg.mean_cut} and cv_cut={cfg.cv_cut} must not be NaN")
+            raise KmhError(f"mean_cut={cfg.mean_cut} and cv_cut={cfg.cv_cut} must not be NaN")
         return cfg
 
 
@@ -174,7 +180,7 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     cfg = config.resolve(data)
     timings: dict[str, float] = {}
     warnings: list[str] = []
-    stream_scatter, stream_krz, stream_consensus, stream_report = spawn(cfg.seed, 4)
+    stream_scatter, stream_krz, stream_consensus, stream_report = spawn(cfg.seed, len(SEED_STREAMS))
 
     t = time.monotonic()
     if cfg.standardize:

@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from helpers import expand
+from helpers import expand, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -26,7 +26,7 @@ from kmh.cli import (
     write_heatmap,
     write_similarity,
 )
-from kmh.consensus import DEFAULT_CV_CUT, DEFAULT_MEAN_CUT, SimilarityMatrix
+from kmh.consensus import SimilarityMatrix
 from kmh.datagen import gen_banana_spheres, gen_bullseye
 from kmh.pipeline import KmhConfig
 
@@ -100,13 +100,15 @@ def random_similarity(m: int = 60, N: int = 97, seed: int = 0) -> SimilarityMatr
     return SimilarityMatrix(counts / N, np.arange(m), np.arange(m) * 3 + 1)
 
 
-def signature_heavy_similarity(m: int = 150, N: int = 13, seed: int = 0) -> SimilarityMatrix:
-    """A table over 9 signatures of random partitions, rows in random
-    signature order, so rows repeat and psi ties abound."""
+def signature_heavy_similarity(
+    m: int = 150, N: int = 13, seed: int = 0, signatures: int = 9
+) -> SimilarityMatrix:
+    """A table over `signatures` signatures of random partitions, rows in
+    random signature order, so rows repeat and psi ties abound."""
     rng = np.random.default_rng(seed)
-    pool = rng.integers(1, 4, size=(9, N))
-    sig = rng.integers(0, 9, size=m)
-    sig[:9] = np.arange(9)
+    pool = rng.integers(1, 4, size=(signatures, N))
+    sig = rng.integers(0, signatures, size=m)
+    sig[:signatures] = np.arange(signatures)
     counts = (pool[:, None, :] == pool[None, :, :]).sum(axis=2)
     return SimilarityMatrix(counts / N, sig, np.sort(rng.choice(5 * m, size=m, replace=False)))
 
@@ -147,6 +149,14 @@ def test_writers_match_per_cell_formatting(tmp_path, sim, distinct):
     assert (tmp_path / "map.pgm").read_text() == pgm
     want = ["position,observation"] + [f"{pos},{sim.indices[o]}" for pos, o in enumerate(order)]
     assert order_csv.read_text() == "\n".join(want) + "\n"
+
+
+def test_write_similarity_holds_about_one_row(tmp_path):
+    # 3000 rows over 16 signatures: a file of about 36 MB, one formatted row per signature in memory
+    sim = signature_heavy_similarity(m=3000, N=4, signatures=16)
+    path = tmp_path / "sim.csv"
+    assert traced_peak(lambda: write_similarity(str(path), sim)) < 2 * 2**20
+    assert path.stat().st_size > 30 * 10**6
 
 
 @pytest.fixture
@@ -276,7 +286,6 @@ def test_missing_input_exits_2(tmp_path, capsys):
 def test_parsed_defaults_match_library():
     args = build_parser().parse_args(["run", "--input", "data.csv"])
     assert config_from_args(args) == KmhConfig()
-    assert args.linkage_cutoffs == (DEFAULT_MEAN_CUT, DEFAULT_CV_CUT)
 
 
 def test_every_config_field_has_a_flag():

@@ -63,11 +63,11 @@ def test_relabeling_invariance():
     rng = np.random.default_rng(1)
     for _ in range(20):
         n = int(rng.integers(5, 10))
-        raw = rng.integers(1, 4, size=n)
-        p1 = Partition.from_labels(raw)
-        perm = rng.permutation(p1.K) + 1
-        p2 = Partition.from_labels(perm[p1.labels - 1])
-        ref = Partition.from_labels(rng.integers(1, 4, size=n))
+        # 0 is the scatter group: an ordinary group to ARI, never relabelled
+        p1 = Partition.from_labels(rng.integers(0, 4, size=n))
+        perm = np.concatenate([[0], rng.permutation(p1.K) + 1])
+        p2 = Partition(perm[p1.labels])
+        ref = Partition.from_labels(rng.integers(0, 4, size=n))
         assert adjusted_rand_index(p1, ref) == pytest.approx(
             adjusted_rand_index(p2, ref), abs=1e-14
         )
@@ -77,8 +77,9 @@ def test_oracle_equivalence_small_n():
     rng = np.random.default_rng(2)
     for _ in range(300):
         n = int(rng.integers(3, 9))
-        l1 = rng.integers(1, int(rng.integers(2, 5)) + 1, size=n)
-        l2 = rng.integers(1, int(rng.integers(2, 5)) + 1, size=n)
+        # label 0, the scatter group, is drawn too
+        l1 = rng.integers(0, int(rng.integers(2, 5)) + 1, size=n)
+        l2 = rng.integers(0, int(rng.integers(2, 5)) + 1, size=n)
         p1, p2 = Partition.from_labels(l1), Partition.from_labels(l2)
         got = adjusted_rand_index(p1, p2)
         want = ari_pair_counting(p1.labels, p2.labels)

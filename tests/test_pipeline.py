@@ -252,7 +252,9 @@ def test_duplicate_heavy_input_caps_default_g():
     ],
 )
 def test_bad_config_fails_before_clustering(config, message):
-    with pytest.raises(ValueError, match=message):
+    # a caller catching ValueError still catches a bad setting
+    assert issubclass(KmhError, ValueError)
+    with pytest.raises(KmhError, match=message):
         run_kmh(three_values(), config)
 
 
