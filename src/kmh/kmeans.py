@@ -12,11 +12,11 @@ from ._rng import Seed, generator, spawn
 from .core import DataMatrix, Partition
 
 MAX_SWEEPS = 100
-# float64 cells (256 KiB) of the one distance block that a group of
+# float64 cells (256 KiB) of the one score block that a group of
 # lockstep Lloyd runs reuses on every sweep, so a group is
 # max(1, BUDGET // (n*K)) runs. The block is the group's only working set
-# that grows with K; 2**17 ran the blobs-dup K sweep 10-25% faster but
-# doubled its traced heap.
+# that grows with K; 2**17 ran the blobs-dup K sweep 14% faster on one
+# thread and 24% on two, but doubled its traced heap.
 BUDGET = 2**15
 # restarts behind each best-of K-means fit of the K0 search
 KMEANS_STARTS = 10
@@ -60,32 +60,34 @@ def _init_macqueen(
     """K distinct observations sampled uniformly as seeds: along a random
     permutation, the first occurrence of each of the first K distinct rows."""
     order = rng.permutation(row_ids.size)
-    first = np.unique(row_ids[order], return_index=True)[1]
-    return x[order[np.sort(first)[:K]]]
+    # the K earliest first occurrences lie in any prefix holding K distinct ids
+    size = K
+    while True:
+        size *= 2
+        first = np.unique(row_ids[order[:size]], return_index=True)[1]
+        if first.size >= K or size >= order.size:
+            return x[order[np.sort(first)[:K]]]
 
 
-def _sq_distances(
-    x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Squared distances from every row of x to every centre: centres
-    (..., K, p) give a (..., n, K) block, written into `out` if given."""
-    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against roundoff,
-    # evaluated in that order inside the one block. A stacked matmul makes
-    # one GEMM per run; one GEMM over all runs' centres, or a transposed
-    # one, does not keep the bits.
-    d2 = np.matmul(x, np.swapaxes(centers, -1, -2), out=out)
-    np.multiply(2.0, d2, out=d2)
-    np.subtract(x_sq[:, None], d2, out=d2)
-    np.add(d2, (centers**2).sum(axis=-1)[..., None, :], out=d2)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _scores(xa: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Scores ||c||^2 - 2 x.c from every row of x to every centre, for `xa`
+    x's columns then a row of ones: centres (..., K, p) give a (..., n, K)
+    block, written into `out` if given. A row's scores are its squared
+    distances less ||x||^2, so they share the argmin."""
+    # [x, 1] @ [-2c, ||c||^2]^T, one GEMM per run; one GEMM over all runs'
+    # centres, or a transposed one, does not keep the bits
+    ca = np.concatenate([-2.0 * centers, (centers**2).sum(axis=-1)[..., None]], axis=-1)
+    return np.matmul(xa.T, np.swapaxes(ca, -1, -2), out=out)
 
 
-def _repair_empty(d2: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> None:
+def _repair_empty(
+    x: np.ndarray, scores: np.ndarray, labels: np.ndarray, counts: np.ndarray
+) -> None:
     """Reseed each empty cluster of one run, in place, at the observation
     farthest from its assigned centre among clusters that keep a member
     without it."""
-    own_d2 = d2[np.arange(labels.size), labels]
+    # the one reader of a true distance, and so of ||x||^2
+    own_d2 = np.maximum((x**2).sum(axis=1) + scores[np.arange(labels.size), labels], 0.0)
     for k in np.flatnonzero(counts == 0):
         # a sole member stays put, or its cluster would empty in turn
         donor = counts[labels] >= 2
@@ -104,12 +106,13 @@ def _lockstep(data: DataMatrix, K: int, seeds: list[Seed], max_iter: int):
     """
     x = data.values
     n, p = x.shape
-    x_sq = (x**2).sum(axis=1)
-    xt = np.ascontiguousarray(x.T)
+    # x's columns then a row of ones: the scores' operand and the bincount weights
+    xa = np.ones((p + 1, n))
+    xa[:p] = x.T
     # run j's clusters own bins j*K .. j*K+K-1 of the stacked count
     offsets = np.arange(len(seeds))[:, None] * K
     centers = np.array([_init_macqueen(x, data.row_ids, K, generator(s)) for s in seeds])
-    # the group's one distance block; live runs fill its leading slices
+    # the group's one score block; live runs fill its leading slices
     block = np.empty((len(seeds), n, K))
     labels = np.full((len(seeds), n), -1, dtype=np.int64)
     live = np.arange(len(seeds))
@@ -117,14 +120,14 @@ def _lockstep(data: DataMatrix, K: int, seeds: list[Seed], max_iter: int):
     while live.size:
         sweeps += 1
         runs = live.size
-        d2 = _sq_distances(x, x_sq, centers, out=block[:runs])
-        new_labels = d2.argmin(axis=2)
+        scores = _scores(xa, centers, out=block[:runs])
+        new_labels = scores.argmin(axis=2)
 
         counts = np.bincount((new_labels + offsets[:runs]).ravel(), minlength=runs * K)
         counts = counts.reshape(runs, K)
         if not counts.all():
             for j in np.flatnonzero((counts == 0).any(axis=1)):
-                _repair_empty(d2[j], new_labels[j], counts[j])
+                _repair_empty(x, scores[j], new_labels[j], counts[j])
 
         changed = (new_labels != labels).any(axis=1)
         labels = new_labels
@@ -136,7 +139,7 @@ def _lockstep(data: DataMatrix, K: int, seeds: list[Seed], max_iter: int):
         sums = np.empty((runs, K, p))
         for j in range(runs):
             for d in range(p):
-                sums[j, :, d] = np.bincount(labels[j], weights=xt[d], minlength=K)
+                sums[j, :, d] = np.bincount(labels[j], weights=xa[d], minlength=K)
         centers = sums / counts[:, :, None]
 
         if sweeps < max_iter and changed.all():
@@ -163,7 +166,7 @@ def lloyd(
     keeping K fixed.
 
     The runs of a seed list advance in groups, sweep by sweep, a group
-    holding as many runs as fit BUDGET distance cells. The run with the
+    holding as many runs as fit BUDGET score cells. The run with the
     lowest within-group sum of squares (WGSS) is returned, the earliest
     seed on ties, bit for bit as that seed alone gives it.
     """

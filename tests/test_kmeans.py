@@ -22,7 +22,7 @@ from kmh.kmeans import (
     MAX_SWEEPS,
     KMeansResult,
     _init_macqueen,
-    _sq_distances,
+    _scores,
     best_of,
     krzanowski_candidates,
     krzanowski_from_traces,
@@ -126,6 +126,15 @@ def test_macqueen_seeds_match_per_row_reference():
             got = _init_macqueen(data.values, data.row_ids, K, np.random.default_rng(seed))
             want = macqueen_reference(data.values, K, np.random.default_rng(seed))
             assert got.tobytes() == want.tobytes()  # same rows, -0.0 vs 0.0 included
+    # 990 of 1000 rows repeat one value, so the prefix of the permutation
+    # searched for K distinct rows must grow, up to all n rows at K=11
+    rows = np.vstack([np.full((990, 2), 0.5), np.arange(20.0).reshape(10, 2)])
+    for seed in range(20):
+        data = DataMatrix(rows[np.random.default_rng(200 + seed).permutation(1000)])
+        for K in (3, 11):
+            got = _init_macqueen(data.values, data.row_ids, K, np.random.default_rng(seed))
+            want = macqueen_reference(data.values, K, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
 
 
 def test_empty_cluster_repair_keeps_k():
@@ -160,24 +169,59 @@ def test_repair_never_takes_a_sole_member():
     assert np.bincount(res.partition.labels, minlength=K + 1)[1:].min() >= 1
 
 
-def test_sq_distances_match_broadcast_expression():
+def with_ones(x):
+    """x's columns, then a row of ones: the (p+1, n) operand of `_scores`."""
+    return np.vstack([x.T, np.ones(x.shape[0])])
+
+
+def test_scores_are_the_expanded_norm_form_less_x_sq():
     rng = np.random.default_rng(7)
+    eps = np.finfo(np.float64).eps
     for n, p, K in [(50, 1, 3), (200, 5, 12), (31, 3, 31)]:
         x = rng.standard_normal((n, p)) * 10.0
+        xa = with_ones(x)
         centers = rng.standard_normal((K, p))
-        x_sq = (x**2).sum(axis=1)
-        want = x_sq[:, None] - 2.0 * (x @ centers.T) + (centers**2).sum(axis=1)[None, :]
-        np.maximum(want, 0.0, out=want)
-        assert _sq_distances(x, x_sq, centers).tobytes() == want.tobytes()
+        # within rounding of ||c||^2 - 2 x.c: a (p+1)-term dot product errs by
+        # at most (p+1) eps times the sum of its terms' magnitudes, and the
+        # expression compared against by as much again
+        c_sq = (centers**2).sum(axis=1)
+        want = c_sq[None, :] - 2.0 * (x @ centers.T)
+        bound = 2 * (p + 1) * eps * (2.0 * np.abs(x) @ np.abs(centers.T) + c_sq[None, :])
+        got = _scores(xa, centers)
+        assert got.shape == (n, K)
+        assert (np.abs(got - want) <= bound).all()
         # stacked centres give each run's block, bit for bit
-        stacked = _sq_distances(x, x_sq, np.stack([3.0 * centers, centers]))
-        assert stacked[1].tobytes() == want.tobytes()
-        assert stacked[0].tobytes() == _sq_distances(x, x_sq, 3.0 * centers).tobytes()
+        stacked = _scores(xa, np.stack([3.0 * centers, centers]))
+        assert stacked[1].tobytes() == got.tobytes()
+        assert stacked[0].tobytes() == _scores(xa, 3.0 * centers).tobytes()
         # through `out=`: the leading slice of a larger, stale block
         block = np.full((3, n, K), np.nan)
-        got = _sq_distances(x, x_sq, np.stack([3.0 * centers, centers]), out=block[:2])
-        assert got.base is block
+        out = _scores(xa, np.stack([3.0 * centers, centers]), out=block[:2])
+        assert out.base is block
         assert block[:2].tobytes() == stacked.tobytes()
+
+
+def clipped_sq_distances(x, centers):
+    """Squared distances in the expanded-norm form, clipped at 0: what Lloyd
+    assigned by before its score kernel, as `lloyd_reference` still does."""
+    d2 = (x**2).sum(axis=1)[:, None] - 2.0 * (x @ centers.T) + (centers**2).sum(axis=1)
+    return np.maximum(d2, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scores_pick_the_nearest_centre_at_bench_shapes():
+    # blob-like data; seeding centres (rows of x), then the means of the
+    # clusters they make
+    rng = np.random.default_rng(11)
+    shapes = [(400, 2, 2), (400, 2, 17), (1196, 5, 34), (1196, 3, 54), (3015, 2, 54), (3015, 5, 8)]
+    for n, p, K in shapes:
+        x = rng.normal(size=(n, p)) + rng.uniform(-10, 10, size=(8, p))[rng.integers(0, 8, size=n)]
+        seeds = x[rng.choice(n, size=K, replace=False)]
+        nearest = clipped_sq_distances(x, seeds).argmin(axis=1)
+        means = np.array([x[nearest == k].mean(axis=0) for k in range(K)])
+        for centers in (seeds, means):
+            want = clipped_sq_distances(x, centers).argmin(axis=1)
+            assert (_scores(with_ones(x), centers).argmin(axis=1) == want).all()
 
 
 def test_krzanowski_formula_example():

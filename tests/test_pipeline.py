@@ -95,6 +95,34 @@ def test_seeded_run_matches_golden(name, threads):
     assert sha256(np.array(sorted(votes.frequencies.items())), "<f8") == frequencies_sha
 
 
+@st.composite
+def small_inputs(draw):
+    """A 120-row bullseye, or 3-5 blobs of 25 rows in p=2..4 plus 50 rows
+    copied from them, and a run seed."""
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        return gen_bullseye(n_core=20, n_ring=100, seed=seed).data, seed
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-8.0, 8.0, size=(draw(st.integers(3, 5)), draw(st.integers(2, 4))))
+    base = gen_gaussian_blobs(centers, [25] * len(centers), seed=seed).data.values
+    return DataMatrix(np.vstack([base, base[rng.integers(0, len(base), size=50)]])), seed
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=small_inputs())
+def test_thread_count_leaves_the_run_unchanged(case):
+    data, seed = case
+    one, two = (run_kmh(data, KmhConfig(seed=seed, threads=threads)) for threads in (1, 2))
+    assert two.final_partition.labels.tobytes() == one.final_partition.labels.tobytes()
+    assert two.k0_candidates == one.k0_candidates
+    assert [c.partition.labels.tobytes() for c in two.candidate_partitions] == [
+        c.partition.labels.tobytes() for c in one.candidate_partitions
+    ]
+    assert [t.heights.tobytes() for t in two.merge_traces.values()] == [
+        t.heights.tobytes() for t in one.merge_traces.values()
+    ]
+
+
 # SHA-256 of per_replicate (int64) and of the sorted frequencies (float64) of
 # a bullseye run whose 200-row subsample is below its 400 core rows, so each
 # of the B replicates draws its own rows. The cutoffs send 61 replicates to
