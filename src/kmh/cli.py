@@ -45,7 +45,8 @@ def _atomic_write(path: str, lines) -> None:
 
 
 def read_csv(path: str, truth_col: int | None = None):
-    """Parse a numeric CSV with an optional single header line.
+    """Parse a numeric CSV with an optional single header line, the first
+    non-blank one; blank lines are skipped.
 
     Returns (DataMatrix, truth Partition or None). truth_col indexes the
     ground-truth column (0-based); it is excluded from the features.
@@ -53,18 +54,13 @@ def read_csv(path: str, truth_col: int | None = None):
     if not os.path.isfile(path):
         raise InputError(f"input file not found: {path}")
     rows = []
-    header_skipped = False
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
+        numbered = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
+        for nth, (lineno, line) in enumerate((n, text) for n, text in numbered if text):
             try:
-                rows.append([float(f) for f in fields])
+                rows.append([float(f) for f in line.split(",")])
             except ValueError:
-                if lineno == 1 and not header_skipped:
-                    header_skipped = True
+                if nth == 0:  # the header, on the first non-blank line
                     continue
                 raise InputError(f"{path}: line {lineno}: non-numeric field")
             if len(rows) > 1 and len(rows[-1]) != len(rows[0]):

@@ -4,21 +4,22 @@ An entity is a K-means cluster summarized by its mean and spherical
 variance. The distance between entities l and j is 1 - (p_lj + p_jl)/2,
 where p_lj is the probability that a point drawn from l's Gaussian is closer
 (in variance-scaled squared distance) to j's center than to its own.
-`misclass_matrix` gives every p_lj at once: a plain normal, in array form,
-for equal-variance pairs and a noncentral chi-square law for the others.
+`misclass_matrix` gives every p_lj at once: a plain normal for
+equal-variance pairs and a noncentral chi-square law for the others. It is
+elementwise array code with no BLAS call, so its bits do not depend on which
+BLAS kernel the CPU selects.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, ndtr
+from scipy.special import chndtr, expm1, log1p, ndtr
 
-# the CDF sums the exact Poisson-mixture series up to this df+ncp and uses
-# Sankaran's approximation above it; the switch is for cost (the series has
-# ~ncp/2 terms), not accuracy, and Sankaran is within ~2e-6 from here on
+# the CDF takes scipy's exact `chndtr` up to this df+ncp and Sankaran's
+# approximation above it; `chndtr` slows with ncp and is NaN from ncp ~1e11,
+# and Sankaran is within ~2e-6 from here on
 SERIES_LIMIT = 2000.0
 
 # relative variance gap below which two entities count as equal-variance
@@ -74,55 +75,46 @@ def fit_entity(data, member_indices, floor: float) -> SphericalCluster:
     return SphericalCluster(mean, sigma2)
 
 
-def _series_cdf(x: float, df: float, ncp: float) -> float:
-    # Poisson(ncp/2) mixture of central chi-square CDFs
-    if ncp == 0.0:
-        return float(gammainc(df / 2.0, x / 2.0))
-    m = ncp / 2.0
-    i_max = int(np.ceil(m + 12.0 * np.sqrt(m) + 35.0))
-    i = np.arange(i_max + 1)
-    log_w = i * np.log(m) - m - gammaln(i + 1.0)
-    keep = log_w > -40.0  # weights below ~4e-18 cannot move the sum
-    w = np.exp(log_w[keep])
-    terms = gammainc(df / 2.0 + i[keep], x / 2.0)
-    return float(min(1.0, w @ terms))
-
-
-def _normal_approx_cdf(x: float, df: float, ncp: float) -> float:
+def _sankaran_cdf(x, df, ncp):
     # Sankaran (1963, Biometrika 50): (X/(df+ncp))^h, h in [1/3, 1/2], is
     # close to normal. The power is taken as expm1(h log1p(.)) so that it
     # keeps its digits at huge ncp, where x/(df+ncp) is 1 to ~1/sqrt(ncp)
     mean = df + ncp
-    h = 1.0 - 2.0 / 3.0 * mean * (df + 3.0 * ncp) / (df + 2.0 * ncp) ** 2
-    p = (df + 2.0 * ncp) / mean**2
+    spread = df + 2.0 * ncp
+    h = 1.0 - 2.0 / 3.0 * mean * (df + 3.0 * ncp) / (spread * spread)
+    p = spread / (mean * mean)
     m = (h - 1.0) * (1.0 - 3.0 * h)
-    shifted = math.expm1(h * math.log1p((x - mean) / mean))
+    shifted = expm1(h * log1p((x - mean) / mean))
     centre = h * p * (h - 1.0 - 0.5 * (2.0 - h) * m * p)
-    scale = h * math.sqrt(2.0 * p) * (1.0 + 0.5 * m * p)
-    return float(ndtr((shifted - centre) / scale))
+    scale = h * np.sqrt(2.0 * p) * (1.0 + 0.5 * m * p)
+    return ndtr((shifted - centre) / scale)
 
 
-def noncentral_chisq_cdf(x: float, df: float, ncp: float) -> float:
-    """CDF of the noncentral chi-square distribution.
+def noncentral_chisq_cdf(x, df: float, ncp):
+    """CDF of the noncentral chi-square distribution, elementwise over x and
+    ncp; scalars in, a float out.
 
-    Evaluates the exact Poisson-mixture series while df + ncp <=
+    It is 0 where x <= 0, scipy's exact `chndtr` where df + ncp <=
     SERIES_LIMIT and Sankaran's power-transform normal approximation above.
-    The series stays accurate at any ncp, but it sums about
-    ncp/2 + 12 sqrt(ncp/2) terms, so the switch saves time, not digits.
     Over df 1-30, Sankaran is within ~2e-6 of the exact CDF at ncp=1e3,
-    ~7e-8 at 1e4 and ~1e-10 from 1e6 up to 1e11, past which scipy's ncx2
+    ~7e-8 at 1e4 and ~1e-10 from 1e6 up to 1e11, past which `chndtr`
     returns NaN while Sankaran stays finite. It is poor at small ncp
-    (~2e-3 at ncp=10), which is why the series covers that range.
+    (~2e-3 at ncp=10), which is why `chndtr` covers that range. Each step
+    is an IEEE arithmetic operation, `np.sqrt` (correctly rounded) or a
+    scipy ufunc, not numpy's CPU-dispatched log1p and expm1, so an array
+    gives its elements' scalar-call bits on any CPU.
     """
     if df < 1:
         raise ValueError("df must be >= 1")
-    if ncp < 0:
+    x, ncp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(ncp, dtype=float))
+    if np.any(ncp < 0):
         raise ValueError("ncp must be >= 0")
-    if x <= 0:
-        return 0.0
-    if df + ncp <= SERIES_LIMIT:
-        return _series_cdf(x, df, ncp)
-    return _normal_approx_cdf(x, df, ncp)
+    cdf = np.zeros(x.shape)
+    positive, small = x > 0, df + ncp <= SERIES_LIMIT
+    exact, approx = positive & small, positive & ~small
+    cdf[exact] = chndtr(x[exact], df, ncp[exact])
+    cdf[approx] = _sankaran_cdf(x[approx], df, ncp[approx])
+    return float(cdf) if cdf.ndim == 0 else cdf
 
 
 def misclass_matrix(entities) -> np.ndarray:
@@ -136,22 +128,19 @@ def misclass_matrix(entities) -> np.ndarray:
     """
     means = np.stack([e.mean for e in entities])
     sigma2 = np.array([e.sigma2 for e in entities])
-    diff = means[:, None, :] - means[None, :, :]
-    # unlike einsum, a stacked matmul rounds each pair as `diff @ diff` does
-    dist_sq = np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0]
+    # one IEEE add per column in column order, so no BLAS kernel sets the bits
+    dist_sq = np.zeros((len(entities), len(entities)))
+    for col in means.T:
+        diff = col[:, None] - col[None, :]
+        dist_sq += diff * diff
     gap = sigma2[:, None] - sigma2[None, :]
     equal = np.abs(gap) <= EQUAL_VAR_RTOL * np.maximum(sigma2[:, None], sigma2[None, :])
     prob = ndtr(-np.sqrt(dist_sq / sigma2[:, None]) / 2.0)
 
-    # unequal pairs stay per pair in Python floats: numpy's power, log1p and
-    # expm1 round unlike Python's and math's (on ~0.1% and 1-5% of values)
-    s2, d2 = sigma2.tolist(), dist_sq.tolist()
-    for l, j in np.argwhere(~equal).tolist():
-        gap_lj = s2[l] - s2[j]
-        x0 = s2[j] * d2[l][j] / gap_lj**2
-        ncp = s2[l] * d2[l][j] / gap_lj**2
-        cdf = noncentral_chisq_cdf(x0, means.shape[1], ncp) if x0 > 0 else 0.0
-        prob[l, j] = cdf if gap_lj > 0 else 1.0 - cdf
+    l, j = np.nonzero(~equal)
+    d2, g = dist_sq[l, j], gap[l, j]
+    cdf = noncentral_chisq_cdf(sigma2[j] * d2 / (g * g), means.shape[1], sigma2[l] * d2 / (g * g))
+    prob[l, j] = np.where(g > 0, cdf, 1.0 - cdf)
     return prob
 
 

@@ -19,6 +19,7 @@ from kmh.cli import (
     EXIT_OK,
     EXIT_USAGE,
     FLOAT_FMT,
+    InputError,
     build_parser,
     config_from_args,
     main,
@@ -72,10 +73,12 @@ def test_run_writes_artifacts(bullseye_csv, tmp_path, capsys):
 # --seed 0 --linkage-cutoffs 0.5,0.8 and the truth column, recorded with the
 # per-cell writers and the B-replicate consensus loop. The report.json digest
 # is that schema-2 report with the config keys threshold, kmeans_starts and
-# scatter_starts deleted and schema_version 3, re-dumped as the CLI dumps it.
+# scatter_starts deleted and schema_version 3, re-dumped as the CLI dumps it,
+# then re-recorded for the merge heights of the BLAS-free merge kernel and
+# scipy's `chndtr`.
 ARTIFACT_GOLDEN = {
     "labels.csv": "463963f3c429eaf22498823961d42bd915a78102dfce98a0d81053cb5e8af665",
-    "report.json": "8aa0a075676e140f8739b62ac540c6629de9ecc058a0c42124b31eb8765190a5",
+    "report.json": "5ee268bf75ba10126083fb46be55a76de2235d51de79e6a44c1c24dec548a4c7",
     "similarity.csv": "054f5fc5227d6fbdaa2cb57e4d959522f132ac9f5696c7f5c4a9449a46c09b61",
     "heatmap.pgm": "ef84079eaabd27d6791aa0eddba35413bf3568987ff37fb9367cc171abdea209",
     "heatmap_order.csv": "3e741002600496b121f1fe716a86ac6e5c3744ff5484e99643bc29a8bc1abb3c",
@@ -350,6 +353,25 @@ def test_large_non_integer_truth_label_exits_2(tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
     assert "nonnegative integer labels" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_read_csv_takes_the_header_from_the_first_non_blank_line(tmp_path):
+    path = tmp_path / "blank_first.csv"
+    path.write_text("\n  \nx,y\n0.5,1\n\n2,3\n")
+    data, _ = read_csv(str(path))
+    assert data.values.tolist() == [[0.5, 1.0], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [("x,y\n\nu,v\n0,1\n2,3\n", 3), ("\n0,1\nx,y\n2,3\n", 3)],
+    ids=["second-header", "after-data"],
+)
+def test_read_csv_rejects_a_non_numeric_line_past_the_header(tmp_path, text, lineno):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InputError, match=f"line {lineno}: non-numeric field"):
+        read_csv(str(path))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

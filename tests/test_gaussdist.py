@@ -1,6 +1,8 @@
-"""Distance math: noncentral chi-square CDF, misclassification probabilities
-against closed forms, the Monte-Carlo quadratic-form oracle and, to the last
-bit, the scalar per-pair form the array kernel replaced."""
+"""Distance math: the noncentral chi-square CDF against closed forms, scipy
+and an independent Poisson-series oracle, its array form against its scalar
+calls to the last bit, misclassification probabilities against closed forms
+and the Monte-Carlo quadratic-form oracle and, to the last bit, the array
+kernel against a scalar per-pair oracle that takes the same sums."""
 
 import math
 from dataclasses import dataclass
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import gammainc, gammaln, ndtr
 from scipy.stats import ncx2
 
 from kmh.core import DataMatrix
@@ -44,11 +46,13 @@ def pair_distances(a, b):
 
 
 def misclass_prob(from_cluster: SphericalCluster, into_cluster: SphericalCluster) -> float:
-    """Scalar oracle of one `misclass_matrix` entry: the per-pair form the
-    array kernel replaced, whose every bit the kernel must reproduce."""
+    """Scalar oracle of one `misclass_matrix` entry, whose every bit the
+    kernel must reproduce: the same column-ordered squared distance and
+    squared gap, and the CDF's scalar call."""
     l, j = from_cluster, into_cluster
-    diff = l.mean - j.mean
-    dist_sq = float(diff @ diff)
+    dist_sq = 0.0
+    for d in (l.mean - j.mean).tolist():
+        dist_sq += d * d
     if abs(l.sigma2 - j.sigma2) <= EQUAL_VAR_RTOL * max(l.sigma2, j.sigma2):
         if dist_sq == 0.0:
             return 0.5
@@ -56,9 +60,9 @@ def misclass_prob(from_cluster: SphericalCluster, into_cluster: SphericalCluster
         return float(ndtr(-delta / 2.0))
 
     gap = l.sigma2 - j.sigma2
-    x0 = j.sigma2 * dist_sq / gap**2
-    ncp = l.sigma2 * dist_sq / gap**2
-    cdf = noncentral_chisq_cdf(x0, l.mean.size, ncp) if x0 > 0 else 0.0
+    x0 = j.sigma2 * dist_sq / (gap * gap)
+    ncp = l.sigma2 * dist_sq / (gap * gap)
+    cdf = noncentral_chisq_cdf(x0, l.mean.size, ncp)
     if gap > 0:  # scale (s_l^2/s_j^2 - 1) positive
         return cdf
     return 1.0 - cdf
@@ -142,6 +146,22 @@ def theorem1_mc_cdf(spec: QuadFormSpec, x: float, draws: int, seed: int = 0) -> 
     return float((below + 0.5 * at) / draws)
 
 
+def series_cdf(x: float, df: float, ncp: float) -> float:
+    """Independent oracle of the exact CDF: the Poisson(ncp/2) mixture of
+    central chi-square CDFs, summed term by term."""
+    if x <= 0:
+        return 0.0
+    if ncp == 0.0:
+        return float(gammainc(df / 2.0, x / 2.0))
+    m = ncp / 2.0
+    i_max = int(np.ceil(m + 12.0 * np.sqrt(m) + 35.0))
+    i = np.arange(i_max + 1)
+    log_w = i * np.log(m) - m - gammaln(i + 1.0)
+    keep = log_w > -40.0  # weights below ~4e-18 cannot move the sum
+    terms = np.exp(log_w[keep]) * gammainc(df / 2.0 + i[keep], x / 2.0)
+    return min(1.0, math.fsum(terms.tolist()))
+
+
 class TestNoncentralChisq:
     def test_central_chisq2_closed_form(self):
         assert noncentral_chisq_cdf(2.0, 2, 0.0) == pytest.approx(1 - math.exp(-1), abs=1e-12)
@@ -163,8 +183,20 @@ class TestNoncentralChisq:
         assert noncentral_chisq_cdf(-1.0, 2, 1.0) == 0.0
         with pytest.raises(ValueError):
             noncentral_chisq_cdf(1.0, 2, -0.5)
+        with pytest.raises(ValueError, match="ncp"):  # one negative ncp in an array
+            noncentral_chisq_cdf(np.ones((2, 2)), 2, np.array([[1.0, 3e3], [-1e-300, 0.0]]))
         with pytest.raises(ValueError):
             noncentral_chisq_cdf(1.0, 0, 0.5)
+
+    def test_array_form_matches_scalar_calls_bit_for_bit(self):
+        # x <= 0, ncp = 0, each side of SERIES_LIMIT and df + ncp on it
+        df = 3
+        x = np.array([-1.0, 0.0, 2.5, 4.0, 40.0, SERIES_LIMIT, 2100.0, 1e5 + 9.0, 1e12])
+        ncp = np.array([5.0, 0.0, 0.0, 0.0, 30.0, SERIES_LIMIT - df, SERIES_LIMIT, 1e5, 1e12])
+        scalars = [noncentral_chisq_cdf(a, df, b) for a, b in zip(x.tolist(), ncp.tolist())]
+        assert all(type(v) is float for v in scalars)
+        assert scalars[:2] == [0.0, 0.0] and all(0.0 < v < 1.0 for v in scalars[2:])
+        assert same_bits(noncentral_chisq_cdf(x, df, ncp), np.array(scalars))
 
     def test_matches_scipy_reference(self):
         rng = np.random.default_rng(0)
@@ -203,9 +235,10 @@ class TestNoncentralChisq:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-# largest |CDF - scipy ncx2.cdf| allowed on each side of SERIES_LIMIT: the
-# series is exact, and Sankaran's approximation is within ~2e-6 from the
-# limit up (see noncentral_chisq_cdf)
+# largest |CDF - reference| allowed on each side of SERIES_LIMIT: below it
+# scipy's exact `chndtr` against the Poisson series, and above it Sankaran's
+# approximation, within ~2e-6 from the limit up (see noncentral_chisq_cdf),
+# against scipy's ncx2, which is `chndtr` too
 SERIES_ABS = 1e-10
 SANKARAN_ABS = 2e-6
 
@@ -225,7 +258,7 @@ def cdf_args(draw, log10_ncp_min: float, log10_ncp_max: float):
 def test_series_side_matches_scipy(args):
     x, df, ncp = args
     assert df + ncp <= SERIES_LIMIT
-    want = ncx2.cdf(x, df, ncp)
+    want = series_cdf(x, df, ncp)
     assert noncentral_chisq_cdf(x, df, ncp) == pytest.approx(want, abs=SERIES_ABS)
 
 

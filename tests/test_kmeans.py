@@ -511,11 +511,15 @@ K_SWEEP_DIGEST = """
 import hashlib
 from kmh.datagen import gen_bullseye
 from kmh.kmeans import krzanowski_candidates
-trace, _, results = krzanowski_candidates(gen_bullseye(seed=0).data, 20, seed=0)
+from kmh.pipeline import KmhConfig, run_kmh
+data = gen_bullseye(seed=0).data
+trace, _, results = krzanowski_candidates(data, 20, seed=0)
 digest = hashlib.sha256(trace.traces.tobytes())
 for K in sorted(results):
     digest.update(results[K].partition.labels.tobytes())
     digest.update(results[K].centers.tobytes())
+for merges in run_kmh(data, KmhConfig(seed=0)).merge_traces.values():
+    digest.update(merges.heights.tobytes())
 print(digest.hexdigest())
 """
 
@@ -535,8 +539,9 @@ def k_sweep_digest(coretype: str | None) -> str:
 
 @pytest.mark.skipif(not openblas_dynamic_arch(), reason="BLAS picks no kernel by CPU")
 def test_k_sweep_bits_hold_under_another_gemm_kernel():
-    # the WGSS traces, best labels and centres of bullseye's K sweep, under
-    # the host's GEMM kernel and under OpenBLAS's oldest x86-64 one
+    # the WGSS traces, best labels and centres of bullseye's K sweep, and the
+    # merge heights of its seeded run, under the host's BLAS kernel and under
+    # OpenBLAS's oldest x86-64 one
     host = k_sweep_digest(None)
     assert len(host) == 64  # a SHA-256 hex digest
     assert k_sweep_digest("Prescott") == host

@@ -33,9 +33,10 @@ def sha256(arr: np.ndarray, dtype: str) -> str:
 # (little-endian float64; the signature table is expanded to the dense m x m
 # psi), recorded with the broadcast-compare psi and the per-row MacQueen
 # dedupe that preceded the current implementations; then of
-# every candidate partition's labels concatenated in candidate order (int64)
-# and of each K0's merge heights concatenated in K0 order (float64), recorded
-# with the frozenset single linkage; then of the merge pairs (a, b) in the
+# every candidate partition's labels concatenated in candidate order (int64),
+# recorded with the frozenset single linkage; then of each K0's merge heights
+# concatenated in K0 order (float64), recorded with the BLAS-free merge
+# kernel and scipy's `chndtr`; then of the merge pairs (a, b) in the
 # same order (int64), taken from those frozenset traces as the smallest
 # entity of each side.
 GOLDEN = {
@@ -45,7 +46,7 @@ GOLDEN = {
         "6de8d4301db961aa494ccd878d679ab095dfff7aa023ddc4d156e26a55f1bf20",
         "5e61c9bae38dd47bc19f7a0770c904660f703c2ef07e7f63be92101b4e30996d",
         "b85452a3340ddaf62a8c5cb5a825effa396653a9e793b76335287a330d922b3f",
-        "205e2c5fead9118ddddb1d2e47a6167dcd16006a1711cea37b911cb65e1ada67",
+        "a0ee3ba6516a457972f3ce80556252f35894b2f53f58d8288589dd18f3b9d9a2",
         "bea05112a604534bd6f56d5057f815e0ba8853a65af9d2b00f5684a5d407fd2d",
     ),
     "blobs-dup": (
@@ -54,7 +55,7 @@ GOLDEN = {
         "dff0c4474227e8f4a9e0f4d46a7785e3998434568475ad17e32ff6e71591e6df",
         "3d95ad583bb8515315bff36e8c536d6c323c96c0a370a1990b9948b9a1862661",
         "b6c0228f1c67e8c8c8209e8aa744a6fb2c1a42614814b39c1697fafdae3ca9b9",
-        "f9a1df796c5bc74aa160bd366d6475105dcd82aaf9c968c2d07f48db1047495c",
+        "b14f0fa773bfcac3ad8cbbf5acb66a1d70fbafcbbc0371f623acb42a2230e8d9",
         "c54da885537adb0872fce443561b951d36a45b855c2e951bb72fead9c28d43e1",
     ),
 }
