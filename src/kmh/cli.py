@@ -107,20 +107,20 @@ def write_similarity(path: str, sim: SimilarityMatrix) -> None:
 
 
 def heatmap_order(sim: SimilarityMatrix) -> np.ndarray:
-    """Leaf order of the single-linkage tree over 1 - psi."""
-    m = sim.sig.size
-    if m < 3:
-        return np.arange(m)
-    dist = 1.0 - sim.share
-    # the condensed 1 - psi, row by row: psi[i, i+1:] is share[sig[i], sig[i+1:]]
-    rows = enumerate(sim.sig[:-1].tolist())
-    off = np.concatenate([dist[s, sim.sig[i + 1 :]] for i, s in rows])
-    return np.asarray(leaves_list(linkage(off, method="single")))
+    """A signature-level order of the rows: the signatures in the leaf order
+    of the single-linkage tree over their 1 - psi, each signature's rows
+    together in index order."""
+    s = sim.share.shape[0]
+    leaves = np.zeros(1, dtype=np.intp)
+    if s > 1:
+        off = (1.0 - sim.share)[np.triu_indices(s, 1)]
+        leaves = leaves_list(linkage(off, method="single"))
+    return np.argsort(np.argsort(leaves)[sim.sig], kind="stable")
 
 
 def write_heatmap(sim: SimilarityMatrix, path: str, order_path: str) -> np.ndarray:
-    """Grayscale plain-PGM heatmap of psi, rows/cols in dendrogram leaf
-    order, plus a sidecar CSV mapping pixel position to observation."""
+    """Grayscale plain-PGM heatmap of psi, rows/cols in `heatmap_order`,
+    plus a sidecar CSV mapping pixel position to observation."""
     order = heatmap_order(sim)
     leaf_sig = sim.sig[order]
     pixels = np.round(255.0 * sim.share).astype(int)

@@ -6,9 +6,12 @@ number of general-shaped clusters, and the final partition is the one most
 similar (by mean Adjusted Rand Index) to all the others.
 
 Rows with one label signature, the tuple of a row's labels across the
-partitions, share a cluster in every partition, so each count vote reads a
-table of co-membership counts between the distinct signatures it drew, and
-the reported similarity is one such table over the report's rows.
+partitions, share a cluster in every partition, so each count vote makes
+one linkage call on a table of co-membership counts between the distinct
+signatures it drew, with ties between equal heights broken in `np.unique`'s
+lexicographic signature order, and the reported similarity is one such
+table over the report's rows. Votes and the heatmap order read the table
+itself, never a matrix with a row per observation.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
 from ._rng import Seed, generator
@@ -102,21 +105,6 @@ def _cv_exceeds(s1: int, s2: int, pairs: int, cut: float) -> bool:
     return Fraction(pairs * s2 - s1 * s1, s1 * s1) > Fraction(cut) ** 2
 
 
-def _components(adj: np.ndarray) -> int:
-    """Connected components of the graph with boolean adjacency `adj`, whose
-    diagonal is cleared in place."""
-    np.fill_diagonal(adj, False)
-    unseen = adj.any(axis=1)  # a row with no other link is a component alone
-    count = len(adj) - int(np.count_nonzero(unseen))
-    while unseen.any():
-        frontier = np.arange(len(adj)) == np.argmax(unseen)
-        while frontier.any():
-            unseen &= ~frontier
-            frontier = adj[frontier].any(axis=0) & unseen
-        count += 1
-    return count
-
-
 def estimate_kstar(
     partitions,
     B: int,
@@ -138,11 +126,17 @@ def estimate_kstar(
     distinct label signatures of its rows (at most `subsample` of them), so
     its work and memory are bounded by the draw, not by the core set. With
     w its rows per signature, the off-diagonal sums of psi and psi**2 are
-    exactly (w.cnt.w - m N) / 2N and (w.cnt**2.w - m N**2) / 2N**2. A
-    single-linkage cut keeps the components of the threshold graph on those
-    signatures, whatever the ties. When `subsample` is the whole core set
-    every sorted draw is that set, so one replicate is computed and repeated
-    B times.
+    exactly (w.cnt.w - m N) / 2N and (w.cnt**2.w - m N**2) / 2N**2. The
+    vote is one linkage call on the heights 1 - cnt/N between those
+    signatures: rows of one signature sit at height 0 from each other and
+    at equal heights from every other row, so either linkage joins them
+    first and then treats them as one point. The count is the signatures
+    less the merges at or below 1-threshold. Ties between heights are
+    broken in `np.unique`'s lexicographic signature order, not in row
+    order, so a vote does not depend on how the rows are numbered. A draw
+    holding a single signature votes 1. When `subsample` is the whole core
+    set every sorted draw is that set, so one replicate is computed and
+    repeated B times.
     """
     if not partitions:
         raise ValueError("need at least one partition")
@@ -159,19 +153,19 @@ def estimate_kstar(
     signatures, sig = label_signatures(partitions, core)
 
     def vote(rows: np.ndarray) -> int:
-        present, picked = np.unique(sig[rows], return_inverse=True)
-        w = np.bincount(picked)
+        present, w = np.unique(sig[rows], return_counts=True)
+        if present.size == 1:
+            return 1
         cnt = _co_counts(partitions, signatures[present]).astype(np.int64)
         s1 = (int(w @ cnt @ w) - m * N) // 2
         s2 = (int(w @ (cnt * cnt) @ w) - m * N * N) // 2
         # weak or uncertain co-association: chain cautiously with single linkage
-        if Fraction(s1, N * pairs) < mean_cut or _cv_exceeds(s1, s2, pairs, cv_cut):
-            # single linkage joins the pairs whose height 1-psi fcluster keeps
-            return _components(1.0 - cnt / float(N) <= 1.0 - DEFAULT_THRESHOLD)
-        psi = cnt[np.ix_(picked, picked)] / float(N)
-        tree = linkage(1.0 - squareform(psi, checks=False), method="complete")
-        # pairs sitting exactly at the threshold stay linked
-        return int(fcluster(tree, t=1.0 - DEFAULT_THRESHOLD, criterion="distance").max())
+        weak = Fraction(s1, N * pairs) < mean_cut or _cv_exceeds(s1, s2, pairs, cv_cut)
+        heights = squareform(1.0 - cnt / float(N), checks=False)
+        tree = linkage(heights, method="single" if weak else "complete")
+        # both linkages are monotone, so cutting at 1 - threshold undoes every
+        # merge above it; pairs sitting exactly at the threshold stay linked
+        return present.size - int(np.count_nonzero(tree[:, 2] <= 1.0 - DEFAULT_THRESHOLD))
 
     if subsample == core.size:
         estimates = [vote(np.arange(m))] * B

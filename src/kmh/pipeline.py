@@ -258,7 +258,6 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
     kstar_estimate = None
     if cfg.kstar_known is not None:
         chosen_kstar = cfg.kstar_known
-        pool_candidates = candidates
     else:
         kstar_estimate = estimate_kstar(
             [c.partition for c in candidates],
@@ -269,14 +268,14 @@ def run_kmh(data: DataMatrix, config: KmhConfig = KmhConfig()) -> KmhReport:
             cv_cut=cfg.cv_cut,
         )
         chosen_kstar = kstar_estimate.median_kstar
-        pool_candidates = []
-        for k0 in usable_k0:
-            if chosen_kstar > k0:
-                warnings.append(f"K0={k0} below consensus kstar={chosen_kstar}; dropped from pool")
-                continue
-            pool_candidates.append(cut(k0, chosen_kstar))
-        if not pool_candidates:
-            raise KmhError(f"no K0 candidate can host kstar={chosen_kstar}")
+    pool_candidates = []
+    for k0 in usable_k0:
+        if chosen_kstar > k0:
+            warnings.append(f"K0={k0} below consensus kstar={chosen_kstar}; dropped from pool")
+            continue
+        pool_candidates.append(cut(k0, chosen_kstar))
+    if not pool_candidates:
+        raise KmhError(f"no K0 candidate can host kstar={chosen_kstar}")
     timings["consensus"] = time.monotonic() - t
 
     t = time.monotonic()

@@ -13,7 +13,8 @@ from helpers import expand, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.cluster.hierarchy import leaves_list, linkage
+from scipy.cluster.hierarchy import cophenet, fcluster, linkage
+from scipy.spatial.distance import squareform
 
 from kmh.cli import (
     EXIT_OK,
@@ -75,13 +76,16 @@ def test_run_writes_artifacts(bullseye_csv, tmp_path, capsys):
 # is that schema-2 report with the config keys threshold, kmeans_starts and
 # scatter_starts deleted and schema_version 3, re-dumped as the CLI dumps it,
 # then re-recorded for the merge heights of the BLAS-free merge kernel and
-# scipy's `chndtr`.
+# scipy's `chndtr`. heatmap.pgm and heatmap_order.csv were re-recorded for
+# the signature-level heatmap order, which lists rows at distance 0 (one
+# signature) together in index order. Last recorded on Python 3.11.7,
+# numpy 2.4.6 and scipy 1.17.1.
 ARTIFACT_GOLDEN = {
     "labels.csv": "463963f3c429eaf22498823961d42bd915a78102dfce98a0d81053cb5e8af665",
     "report.json": "5ee268bf75ba10126083fb46be55a76de2235d51de79e6a44c1c24dec548a4c7",
     "similarity.csv": "054f5fc5227d6fbdaa2cb57e4d959522f132ac9f5696c7f5c4a9449a46c09b61",
-    "heatmap.pgm": "ef84079eaabd27d6791aa0eddba35413bf3568987ff37fb9367cc171abdea209",
-    "heatmap_order.csv": "3e741002600496b121f1fe716a86ac6e5c3744ff5484e99643bc29a8bc1abb3c",
+    "heatmap.pgm": "9bf075f7ed732db1f0df24ab49d005a24d24003bffc8e08b2bf227bc0486d1d9",
+    "heatmap_order.csv": "df95967f17b62751063ad45ec099c12d0de7332778e6d9be0da5bc4294004d7e",
 }
 
 
@@ -123,14 +127,17 @@ def per_cell_similarity(sim: SimilarityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def per_cell_heatmap(sim: SimilarityMatrix) -> tuple:
+def per_cell_heatmap(sim: SimilarityMatrix, order: np.ndarray) -> str:
     psi = expand(sim)
     m = psi.shape[0]
-    rows, cols = np.triu_indices(m, 1)
-    order = leaves_list(linkage(1.0 - psi[rows, cols], method="single"))
     pixels = np.round(255.0 * psi[np.ix_(order, order)]).astype(int)
     lines = ["P2", f"{m} {m}", "255"] + [" ".join(str(v) for v in row) for row in pixels]
-    return order, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def single_linkage(psi: np.ndarray) -> np.ndarray:
+    """scipy's single-linkage tree over 1 - psi."""
+    return linkage(squareform(1.0 - psi, checks=False), method="single")
 
 
 @pytest.mark.parametrize(
@@ -146,10 +153,19 @@ def test_writers_match_per_cell_formatting(tmp_path, sim, distinct):
     assert np.unique(sim.share).size > distinct
     write_similarity(str(tmp_path / "sim.csv"), sim)
     assert (tmp_path / "sim.csv").read_text() == per_cell_similarity(sim)
-    order, pgm = per_cell_heatmap(sim)
+    # the signature-level tree is the row-level tree: rows of one signature
+    # merge at height 0, and the cophenetic heights expand to the rows'
+    row_tree = single_linkage(expand(sim))
+    signature_level = squareform(cophenet(single_linkage(sim.share)))
+    assert np.array_equal(signature_level[np.ix_(sim.sig, sim.sig)], squareform(cophenet(row_tree)))
     order_csv = tmp_path / "order.csv"
-    assert np.array_equal(write_heatmap(sim, str(tmp_path / "map.pgm"), str(order_csv)), order)
-    assert (tmp_path / "map.pgm").read_text() == pgm
+    order = write_heatmap(sim, str(tmp_path / "map.pgm"), str(order_csv))
+    assert np.array_equal(np.sort(order), np.arange(sim.sig.size))
+    # a dendrogram order: each cluster of each cut of the row-level tree is one run of it
+    for height in np.unique(row_tree[:, 2]):
+        groups = fcluster(row_tree, height, criterion="distance")[order]
+        assert np.count_nonzero(np.diff(groups)) == groups.max() - 1
+    assert (tmp_path / "map.pgm").read_text() == per_cell_heatmap(sim, order)
     want = ["position,observation"] + [f"{pos},{sim.indices[o]}" for pos, o in enumerate(order)]
     assert order_csv.read_text() == "\n".join(want) + "\n"
 
@@ -160,6 +176,13 @@ def test_write_similarity_holds_about_one_row(tmp_path):
     path = tmp_path / "sim.csv"
     assert traced_peak(lambda: write_similarity(str(path), sim)) < 2 * 2**20
     assert path.stat().st_size > 30 * 10**6
+
+
+def test_write_heatmap_reads_the_signature_table(tmp_path):
+    # 3000 rows over 16 signatures: a row-level condensed 1 - psi would take 36 MB
+    sim = signature_heavy_similarity(m=3000, N=4, signatures=16)
+    paths = str(tmp_path / "map.pgm"), str(tmp_path / "order.csv")
+    assert traced_peak(lambda: write_heatmap(sim, *paths)) < 2 * 2**20
 
 
 @pytest.fixture

@@ -327,6 +327,40 @@ def test_signature_votes_match_replicate_loop(ensemble, B, seed, mean_cut, cv_cu
     assert est.per_replicate == want
 
 
+@st.composite
+def permuted_core_ensembles(draw):
+    """N partitions of n rows, all in the core, copied from 3 to 10
+    signatures over labels 1..3, so heights repeat and complete linkage
+    meets ties; and the same partitions with their rows permuted together."""
+    N = draw(st.integers(2, 8))
+    n = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(1, draw(st.integers(2, 3)) + 1, size=(draw(st.integers(3, 10)), N))
+    rows = pool[rng.integers(0, len(pool), size=n)]
+    return parts(*rows.T), parts(*rows[rng.permutation(n)].T)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ensembles=permuted_core_ensembles())
+def test_forced_complete_vote_ignores_row_order(ensembles):
+    # cutoffs (0, inf) force complete linkage, whose ties a row-level psi
+    # breaks in row order; the signature table breaks them in signature order
+    cutoffs = dict(mean_cut=0.0, cv_cut=np.inf)
+    ps, permuted = ensembles
+    assert whole_core_vote(permuted, **cutoffs) == whole_core_vote(ps, **cutoffs)
+
+
+def test_forced_complete_vote_stays_within_its_table():
+    # 3000 rows over 10 signatures: a row-level psi would take 72 MB (float64)
+    rng = np.random.default_rng(0)
+    pool = rng.integers(1, 5, size=(10, 6))
+    ps = parts(*pool[rng.integers(0, 10, size=3000)].T)
+    votes = []
+    peak = traced_peak(lambda: votes.append(whole_core_vote(ps, mean_cut=0.0, cv_cut=np.inf)))
+    assert peak < 2**20
+    assert 1 <= votes[0] <= 10
+
+
 # four rows whose off-diagonal psi is (.5, .5, 1, 0, .5, .5): mean exactly
 # 0.5 and cv = 1/sqrt(3); single linkage chains them into 1 group, complete
 # linkage leaves 2

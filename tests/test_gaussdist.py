@@ -199,15 +199,17 @@ class TestNoncentralChisq:
         assert same_bits(noncentral_chisq_cdf(x, df, ncp), np.array(scalars))
 
     def test_matches_scipy_reference(self):
+        # below SERIES_LIMIT the CDF is scipy's `chndtr`, and so is ncx2, so
+        # the reference is the independent Poisson series; every fourth
+        # draw has ncp = 0, the central chi-square
         rng = np.random.default_rng(0)
-        for _ in range(40):
+        for draw in range(40):
             df = int(rng.integers(1, 30))
-            ncp = float(rng.uniform(0, 500))
+            ncp = 0.0 if draw % 4 == 0 else float(rng.uniform(0, 500))
             x = float(rng.uniform(0, df + ncp + 4 * math.sqrt(df + ncp)))
-            want = ncx2.cdf(x, df, ncp) if ncp > 0 else None
-            got = noncentral_chisq_cdf(x, df, ncp)
-            if want is not None:
-                assert got == pytest.approx(want, abs=1e-8)
+            assert df + ncp <= SERIES_LIMIT
+            want = series_cdf(x, df, ncp)
+            assert noncentral_chisq_cdf(x, df, ncp) == pytest.approx(want, abs=SERIES_ABS)
 
     def test_auto_above_series_limit_matches_scipy(self):
         for df in (1, 2, 5, 10, 30):
